@@ -100,20 +100,9 @@ def _labels_1idx(members) -> str:
     return ",".join(str(q + 1) for q in members)
 
 
-def _csv_cell(value: object) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    text = str(value)
-    if "," in text or '"' in text:
-        return '"' + text.replace('"', '""') + '"'
-    return text
-
-
 def _emit_rows(fields: Sequence[str], rows: list[dict[str, object]], fmt: str, out) -> None:
     if fmt == "csv":
-        out.write(",".join(fields) + "\n")
-        for row in rows:
-            out.write(",".join(_csv_cell(v) for v in row.values()) + "\n")
+        out.write(survey.csv_text(fields, rows))
     elif fmt == "json-lines":
         for row in rows:
             out.write(json.dumps(row) + "\n")
@@ -286,6 +275,8 @@ def _verify_suite(seed: int, trials: int, out) -> bool:
 
 
 def _cmd_verify(args: argparse.Namespace, out) -> int:
+    if args.trials < 1:
+        raise UsageError(f"--trials must be at least 1, got {args.trials}")
     seed = args.seed if args.seed is not None else random.SystemRandom().randrange(1 << 31)
     ok = _verify_suite(seed, args.trials, out)
     out.write("verify: PASS\n" if ok else "verify: FAIL\n")

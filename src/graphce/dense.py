@@ -13,6 +13,7 @@ import numpy as np
 
 from .graphs import Graph, QubitSet, induced_subgraph
 from .stabilizer import (
+    GF2Vector,
     OutcomeBitstring,
     PauliGenerator,
     graph_generators,
@@ -144,8 +145,6 @@ def _drop_bit(bits: int, position: int) -> int:
 
 def outcome_state(graph: Graph, a_set: QubitSet, z: OutcomeBitstring) -> StateVector:
     """U(z)|G-A> on the surviving qubits, relabelled in ascending order."""
-    from .gf2 import GF2Vector
-
     b_set = a_set.complement()
     sub = build_state(induced_subgraph(graph, b_set))
     support = unitary_support(graph, a_set, z)
@@ -161,8 +160,6 @@ def check_measurement_rule(graph: Graph, a: int, outcome: int, tol: float = MATC
     the measure_z tableau, restricted to the surviving qubits, stabilizes the
     projected state.
     """
-    from .gf2 import GF2Vector
-
     n = graph.n
     if n > MEASURE_MAX_QUBITS:
         raise ValueError(f"measurement check limited to n <= {MEASURE_MAX_QUBITS}, got {n}")

@@ -12,8 +12,6 @@ import warnings
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .gf2 import GF2Matrix, GF2Vector
-
 CANONICAL_MAX_VERTICES = 8
 GRAPH6_MAX_VERTICES = 62
 
@@ -166,22 +164,39 @@ def neighborhood(graph: Graph, a: int) -> QubitSet:
     return QubitSet(graph.n, graph.adj[a])
 
 
-def biadjacency(graph: Graph, a_set: QubitSet, b_set: QubitSet) -> GF2Matrix:
-    """The |A| x |B| submatrix of the adjacency matrix with rows in A, columns in B.
+def _row_rank(rows: Iterable[int]) -> int:
+    """GF(2) rank of int bit rows: each row is reduced by the pivots on its leading bits."""
+    pivots: dict[int, int] = {}
+    for row in rows:
+        while row:
+            top = row.bit_length() - 1
+            pivot = pivots.get(top)
+            if pivot is None:
+                pivots[top] = row
+                break
+            row ^= pivot
+    return len(pivots)
 
-    Row i / column j refer to the i-th and j-th members of A and B in
-    ascending vertex order.  A and B must be disjoint.
+
+def cut_rank(graph: Graph, a: int) -> int:
+    """GF(2) rank of the cut (A, complement) for a vertex bitmask A.
+
+    This is the rank of the rows ``adj[v] & ~A`` for v in A; it is symmetric
+    under complementing A, so the smaller side supplies the rows.
     """
-    if not a_set.isdisjoint(b_set):
-        raise ValueError("biadjacency requires disjoint vertex sets")
-    b_members = list(b_set)
+    n = graph.n
+    if a >> n:
+        raise ValueError(f"vertex mask {a:#x} out of range for n={n}")
+    if 2 * a.bit_count() > n:
+        a ^= (1 << n) - 1
+    adj = graph.adj
     rows = []
-    for a in a_set:
-        bits = 0
-        for j, b in enumerate(b_members):
-            bits |= ((graph.adj[a] >> b) & 1) << j
-        rows.append(GF2Vector(len(b_members), bits))
-    return GF2Matrix(len(rows), len(b_members), tuple(rows))
+    rest = a
+    while rest:
+        low = rest & -rest
+        rows.append(adj[low.bit_length() - 1] & ~a)
+        rest ^= low
+    return _row_rank(rows)
 
 
 def is_connected(graph: Graph) -> bool:
@@ -308,22 +323,29 @@ def parse_graph6(text: str) -> Graph:
 
 
 def parse_edge_list(text: str) -> Graph:
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    """Parse the edge-list format; errors name the 1-indexed input line."""
+    lines = [(i, ln.strip()) for i, ln in enumerate(text.splitlines(), 1)]
+    lines = [(i, ln) for i, ln in lines if ln and not ln.startswith("#")]
     if not lines:
         raise ValueError("empty edge-list input")
+    first, count = lines[0]
     try:
-        n = int(lines[0])
+        n = int(count)
     except ValueError:
-        raise ValueError(f"first line must be the vertex count, got {lines[0]!r}") from None
+        raise ValueError(f"line {first}: first line must be the vertex count, got {count!r}") from None
     edges = []
-    for ln in lines[1:]:
+    for i, ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 2:
-            raise ValueError(f"expected 'u v' pair, got {ln!r}")
-        u, v = int(parts[0]), int(parts[1])
+            raise ValueError(f"line {i}: expected 'u v' pair, got {ln!r}")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ValueError(f"line {i}: vertex labels must be integers, got {ln!r}") from None
         if not (1 <= u <= n and 1 <= v <= n):
-            raise ValueError(f"edge label ({u}, {v}) out of range 1..{n}")
+            raise ValueError(f"line {i}: vertex label out of range 1..{n}, got {ln!r}")
+        if u == v:
+            raise ValueError(f"line {i}: self-loop, got {ln!r}")
         edges.append((u - 1, v - 1))
     return from_edges(n, edges)
 

@@ -3,7 +3,7 @@
 Every value here is a dyadic rational computed with integer arithmetic; no
 floating point enters this module.  The reduced-state purity across a cut is
 1/k with k the number of distinct post-trace-out generator sets, which equals
-2^rank of the biadjacency submatrix between the two sides.
+2^r with r the GF(2) cut-rank of the bipartition (``graphs.cut_rank``).
 """
 
 from __future__ import annotations
@@ -15,9 +15,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable
 
-from .gf2 import rank
-from .graphs import Graph, QubitSet, biadjacency, is_connected, write_graph6
-from .stabilizer import count_distinct_sets_fast
+from .graphs import Graph, QubitSet, cut_rank, is_connected, write_graph6
 
 
 class DisconnectedGraphWarning(UserWarning):
@@ -148,25 +146,16 @@ def _as_qubitset(universe: int, value: QubitSet | Iterable[int]) -> QubitSet:
     return QubitSet.from_members(universe, value)
 
 
-def _reduction_rank(graph: Graph, b_set: QubitSet) -> int:
-    """log2 of the distinct-set count k across the cut (B, complement)."""
-    a_set = b_set.complement()
-    smaller = a_set if len(a_set) <= len(b_set) else b_set
-    k = count_distinct_sets_fast(graph, smaller)
-    return k.bit_length() - 1
-
-
 def purity(graph: Graph, b: QubitSet | Iterable[int]) -> DyadicRational:
-    """Tr rho_B^2 = 1/k, tracing out the smaller side of the bipartition."""
+    """Tr rho_B^2 = 2^-r, with r the cut-rank of (B, complement)."""
     b_set = _as_qubitset(graph.n, b)
     _check_connected(graph)
-    return DyadicRational.pow2(_reduction_rank(graph, b_set))
+    return DyadicRational.pow2(cut_rank(graph, b_set.members))
 
 
 def schmidt_rank(graph: Graph, b: QubitSet | Iterable[int]) -> int:
     """-log2 of the reduced-state purity; an exact integer for graph states."""
-    b_set = _as_qubitset(graph.n, b)
-    return _reduction_rank(graph, b_set)
+    return cut_rank(graph, _as_qubitset(graph.n, b).members)
 
 
 @dataclass(frozen=True)
@@ -229,20 +218,25 @@ def _level_rank_counts(graph: Graph, m: int) -> dict[int, int]:
     for combo in combinations(range(n), m):
         if 2 * m == n and combo[0] != 0:
             continue  # middle layer: keep the side containing vertex 0
-        b_set = QubitSet.from_members(n, combo)
-        r = rank(biadjacency(graph, b_set, b_set.complement()))
+        a = 0
+        for v in combo:
+            a |= 1 << v
+        r = cut_rank(graph, a)
         counts[r] = counts.get(r, 0) + 1
     return counts
+
+
+def _sweep(graph: Graph) -> PuritySpectrum:
+    levels = [((0, 1),)]
+    for m in range(1, graph.n // 2 + 1):
+        levels.append(tuple(sorted(_level_rank_counts(graph, m).items())))
+    return PuritySpectrum(graph.n, tuple(levels))
 
 
 def purity_spectrum(graph: Graph) -> PuritySpectrum:
     """Tally reduced-state purities for all bipartitions with smaller side m <= n/2."""
     _check_connected(graph)
-    levels = [((0, 1),)]
-    for m in range(1, graph.n // 2 + 1):
-        counts = _level_rank_counts(graph, m)
-        levels.append(tuple(sorted(counts.items())))
-    return PuritySpectrum(graph.n, tuple(levels))
+    return _sweep(graph)
 
 
 @dataclass(frozen=True)
@@ -269,30 +263,37 @@ def rank_index(graph: Graph, m: int) -> RankIndex:
     return RankIndex(m, tuple(counts.get(r, 0) for r in range(m, 0, -1)))
 
 
-def concentratable_entanglement(graph: Graph, s: QubitSet | Iterable[int]) -> DyadicRational:
-    """1 - 2^-|s| times the sum of reduced purities over every subset of s.
+def _ce(graph: Graph, s_set: QubitSet) -> tuple[DyadicRational, PuritySpectrum | None]:
+    """CE of s, with the purity spectrum when s is the full qubit set.
 
-    The full-set case sweeps only the smaller sides of the bipartitions and
-    weights them by cut symmetry; proper subsets are enumerated directly,
-    since each subset pairs with its complement in the whole qubit set.
+    The full set sweeps only the smaller sides of the bipartitions and
+    weights them by cut symmetry; a proper subset s sums 2^(|s| - r) over
+    its subsets, since each pairs with its complement in the whole qubit set.
     """
-    s_set = _as_qubitset(graph.n, s)
-    if len(s_set) == 0:
+    k = len(s_set)
+    if k == 0:
         raise ValueError("Concentratable Entanglement requires a non-empty qubit set")
-    _check_connected(graph)
-    if s_set.members == QubitSet.full(graph.n).members:
-        return purity_spectrum(graph).ce_full()
+    if k == graph.n:
+        spectrum = _sweep(graph)
+        return spectrum.ce_full(), spectrum
     members = list(s_set)
-    total = DyadicRational.zero()
-    for sub in range(1 << len(members)):
+    acc = 0
+    for sub in range(1 << k):
         alpha = 0
         picked = sub
         while picked:
             i = (picked & -picked).bit_length() - 1
             alpha |= 1 << members[i]
             picked &= picked - 1
-        total += DyadicRational.pow2(_reduction_rank(graph, QubitSet(graph.n, alpha)))
-    return DyadicRational.one() - total.shifted(len(members))
+        acc += 1 << (k - cut_rank(graph, alpha))
+    return DyadicRational((1 << (2 * k)) - acc, 2 * k), None
+
+
+def concentratable_entanglement(graph: Graph, s: QubitSet | Iterable[int]) -> DyadicRational:
+    """1 - 2^-|s| times the sum of reduced purities over every subset of s."""
+    ce, _ = _ce(graph, _as_qubitset(graph.n, s))
+    _check_connected(graph)
+    return ce
 
 
 def ce_bounds(n: int) -> tuple[DyadicRational, DyadicRational]:
@@ -337,11 +338,7 @@ class CEReport:
 def ce_report(graph: Graph, s: QubitSet | Iterable[int] | None = None) -> CEReport:
     """Evaluate CE and bound attainment; the spectrum is attached for full-set reports."""
     s_set = QubitSet.full(graph.n) if s is None else _as_qubitset(graph.n, s)
-    full = s_set.members == QubitSet.full(graph.n).members
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DisconnectedGraphWarning)
-        spectrum = purity_spectrum(graph) if full else None
-        ce = spectrum.ce_full() if spectrum is not None else concentratable_entanglement(graph, s_set)
+    ce, spectrum = _ce(graph, s_set)
     connected = _check_connected(graph)
     lo, hi = ce_bounds(len(s_set))
     return CEReport(

@@ -11,11 +11,59 @@ patterns over the 2^|A| outcomes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
-from .gf2 import GF2Vector, mat_vec, rank
-from .graphs import Graph, QubitSet, biadjacency, neighborhood
+from .graphs import Graph, QubitSet, cut_rank
 
 ENUMERATION_MAX_QUBITS = 20
+
+
+@dataclass(frozen=True)
+class GF2Vector:
+    """A fixed-length vector over GF(2); element ``i`` is bit ``i`` of ``bits``."""
+
+    length: int
+    bits: int = 0
+
+    def __post_init__(self) -> None:
+        if self.length < 0:
+            raise ValueError(f"negative length {self.length}")
+        # canonical padding: bits beyond `length` are zero
+        object.__setattr__(self, "bits", self.bits & ((1 << self.length) - 1))
+
+    @classmethod
+    def from_bits(cls, elements: Iterable[int]) -> GF2Vector:
+        bits = 0
+        length = 0
+        for e in elements:
+            if e & 1:
+                bits |= 1 << length
+            length += 1
+        return cls(length, bits)
+
+    @classmethod
+    def from_string(cls, text: str) -> GF2Vector:
+        """Parse e.g. "0011" (leftmost character is element 0)."""
+        return cls.from_bits(int(c) for c in text)
+
+    def __getitem__(self, i: int) -> int:
+        if not 0 <= i < self.length:
+            raise IndexError(f"index {i} out of range for length {self.length}")
+        return (self.bits >> i) & 1
+
+    def __iter__(self):
+        return ((self.bits >> i) & 1 for i in range(self.length))
+
+    def __xor__(self, other: GF2Vector) -> GF2Vector:
+        if self.length != other.length:
+            raise ValueError(f"length mismatch: {self.length} != {other.length}")
+        return GF2Vector(self.length, self.bits ^ other.bits)
+
+    def weight(self) -> int:
+        return self.bits.bit_count()
+
+    def __str__(self) -> str:
+        return "".join(str(b) for b in self)
 
 
 @dataclass(frozen=True)
@@ -153,8 +201,13 @@ def unitary_support(graph: Graph, a_set: QubitSet, z: OutcomeBitstring) -> GF2Ve
     """
     if z.support != a_set:
         raise ValueError("outcome support does not match the traced-out set")
-    b_set = a_set.complement()
-    return mat_vec(biadjacency(graph, b_set, a_set), z.bits)
+    z_mask = 0
+    for i, a in enumerate(a_set):
+        z_mask |= z.bits[i] << a
+    bits = 0
+    for i, b in enumerate(a_set.complement()):
+        bits |= ((graph.adj[b] & z_mask).bit_count() & 1) << i
+    return GF2Vector(graph.n - len(a_set), bits)
 
 
 def traced_generator_set(graph: Graph, a_set: QubitSet, z: OutcomeBitstring) -> StabilizerTableau:
@@ -219,5 +272,5 @@ def support_multiplicities(graph: Graph, a_set: QubitSet, threshold: int = ENUME
 
 
 def count_distinct_sets_fast(graph: Graph, a_set: QubitSet) -> int:
-    """Distinct generator-set count as 2^rank of the biadjacency submatrix."""
-    return 1 << rank(biadjacency(graph, a_set, a_set.complement()))
+    """Distinct generator-set count as 2^cut_rank(A)."""
+    return 1 << cut_rank(graph, a_set.members)

@@ -168,8 +168,21 @@ SURVEY_CSV_FIELDS = ("graph6", "n", "ce_num", "ce_log2_den", "achieves_min", "ac
 FAMILY_CSV_FIELDS = ("family", "size") + SURVEY_CSV_FIELDS + ("core_ce_num", "core_ce_log2_den")
 
 
-def _bool_str(flag: bool) -> str:
-    return "true" if flag else "false"
+def _csv_cell(value: object) -> str:
+    """One CSV cell: booleans as true/false, text quoted when it holds a comma or a quote."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    text = str(value)
+    if "," in text or '"' in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def csv_text(fields: Iterable[str], rows: Iterable[dict[str, object]]) -> str:
+    """A header line, then one line per row of cells in the row's key order."""
+    lines = [",".join(fields)]
+    lines += [",".join(_csv_cell(v) for v in row.values()) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def survey_row(record: SurveyRecord) -> dict[str, object]:
@@ -195,16 +208,8 @@ def family_row(record: SurveyRecord) -> dict[str, object]:
 def survey_csv(records: Iterable[SurveyRecord]) -> str:
     """Deterministic CSV, one row per class, sorted by (n, CE, graph6)."""
     ordered = sorted(records, key=lambda r: (r.n, r.ce, r.graph6))
-    lines = [",".join(SURVEY_CSV_FIELDS)]
-    for rec in ordered:
-        row = survey_row(rec)
-        lines.append(",".join(_bool_str(v) if isinstance(v, bool) else str(v) for v in row.values()))
-    return "\n".join(lines) + "\n"
+    return csv_text(SURVEY_CSV_FIELDS, (survey_row(rec) for rec in ordered))
 
 
 def family_csv(records: Iterable[SurveyRecord]) -> str:
-    lines = [",".join(FAMILY_CSV_FIELDS)]
-    for rec in records:
-        row = family_row(rec)
-        lines.append(",".join(_bool_str(v) if isinstance(v, bool) else str(v) for v in row.values()))
-    return "\n".join(lines) + "\n"
+    return csv_text(FAMILY_CSV_FIELDS, (family_row(rec) for rec in records))

@@ -193,3 +193,19 @@ def test_verify_deterministic_apart_from_timing():
     b = invoke(["verify", "--seed", "11", "--trials", "3"])
     assert a[0] == b[0] == 0
     assert strip_times(a[1]) == strip_times(b[1])
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_verify_rejects_nonpositive_trials(trials, capsys):
+    code, text = invoke(["verify", "--seed", "7", "--trials", trials])
+    assert code == 2
+    assert text == ""
+    assert f"--trials must be at least 1, got {trials}" in capsys.readouterr().err
+
+
+def test_edge_list_error_names_line(tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_text("3\n1 2\n1 x\n")
+    code, _ = invoke(["ce", "--edges", str(path)])
+    assert code == 2
+    assert "line 3: vertex labels must be integers, got '1 x'" in capsys.readouterr().err

@@ -17,10 +17,10 @@ from graphce.dense import (
     reduced_density_matrix,
     stabilizes,
 )
-from graphce.gf2 import GF2Vector
 from graphce.graphs import QubitSet, family, from_edges, random_connected_graph
 from graphce.metrics import purity
 from graphce.stabilizer import (
+    GF2Vector,
     OutcomeBitstring,
     PauliGenerator,
     graph_generators,

@@ -1,56 +1,36 @@
-"""Tests for the bit-packed GF(2) linear algebra."""
+"""Tests for GF(2) elimination on int bit rows (``graphs._row_rank``) and ``GF2Vector``."""
 
 import random
 
-import pytest
+from graphce.graphs import _row_rank
+from graphce.stabilizer import GF2Vector
 
-from graphce.gf2 import GF2Matrix, GF2Vector, kernel_dim, mat_vec, rank
+
+def row(text):
+    """Bit row from a string with element 0 leftmost, as in GF2Vector.from_string."""
+    return GF2Vector.from_string(text).bits
 
 
-def random_matrix(rng, rows, cols):
-    return GF2Matrix(rows, cols, tuple(GF2Vector(cols, rng.getrandbits(cols) if cols else 0) for _ in range(rows)))
+def transpose(rows, cols):
+    return [sum(((r >> j) & 1) << i for i, r in enumerate(rows)) for j in range(cols)]
 
 
 def test_rank_identity():
-    assert rank(GF2Matrix.identity(3)) == 3
+    assert _row_rank([1 << i for i in range(3)]) == 3
 
 
 def test_rank_zero_matrix():
-    assert rank(GF2Matrix.zeros(2, 2)) == 0
+    assert _row_rank([0, 0]) == 0
 
 
 def test_rank_no13_biadjacency_rows():
     # hand row-reduction of rows 0011, 0010
-    m = GF2Matrix.from_rows(["0011", "0010"])
-    assert rank(m) == 2
+    assert _row_rank([row("0011"), row("0010")]) == 2
 
 
 def test_rank_empty_shapes():
-    assert rank(GF2Matrix.zeros(0, 4)) == 0
-    assert rank(GF2Matrix.zeros(3, 0)) == 0
-
-
-def test_kernel_dim():
-    assert kernel_dim(GF2Matrix.identity(3)) == 0
-    assert kernel_dim(GF2Matrix.zeros(2, 2)) == 2
-    assert kernel_dim(GF2Matrix.from_rows(["11", "11"])) == 1
-
-
-def test_mat_vec_identity_and_zero():
-    v = GF2Vector.from_string("1011")
-    assert mat_vec(GF2Matrix.identity(4), v) == v
-    assert mat_vec(GF2Matrix.zeros(4, 4), v) == GF2Vector(4)
-
-
-def test_mat_vec_hand_example():
-    m = GF2Matrix.from_rows(["0011", "0010"])
-    out = mat_vec(m, GF2Vector.from_string("1010"))
-    assert out == GF2Vector.from_string("11")
-
-
-def test_mat_vec_dimension_mismatch():
-    with pytest.raises(ValueError):
-        mat_vec(GF2Matrix.identity(3), GF2Vector(4))
+    assert _row_rank([]) == 0
+    assert _row_rank([0, 0, 0]) == 0
 
 
 def test_rank_equals_transpose_rank():
@@ -58,28 +38,19 @@ def test_rank_equals_transpose_rank():
     for _ in range(60):
         rows = rng.randint(1, 64)
         cols = rng.randint(1, 64)
-        m = random_matrix(rng, rows, cols)
-        assert rank(m) == rank(m.transpose())
+        m = [rng.getrandbits(cols) for _ in range(rows)]
+        assert _row_rank(m) == _row_rank(transpose(m, cols))
 
 
-def test_mat_vec_is_linear():
-    rng = random.Random(11)
-    for _ in range(40):
-        rows = rng.randint(1, 20)
-        cols = rng.randint(1, 20)
-        m = random_matrix(rng, rows, cols)
-        x = GF2Vector(cols, rng.getrandbits(cols))
-        y = GF2Vector(cols, rng.getrandbits(cols))
-        assert mat_vec(m, x ^ y) == mat_vec(m, x) ^ mat_vec(m, y)
-
-
-def test_rank_nullity():
+def test_rank_matches_span_size():
+    # 2^rank is the number of distinct XOR combinations of the rows
     rng = random.Random(13)
     for _ in range(40):
-        rows = rng.randint(0, 24)
-        cols = rng.randint(0, 24)
-        m = random_matrix(rng, rows, cols)
-        assert kernel_dim(m) + rank(m) == cols
+        m = [rng.getrandbits(rng.randint(0, 8)) for _ in range(rng.randint(0, 8))]
+        span = {0}
+        for r in m:
+            span |= {s ^ r for s in span}
+        assert 1 << _row_rank(m) == len(span)
 
 
 def test_vector_padding_is_canonical():

@@ -5,13 +5,13 @@ import random
 
 import pytest
 
-from graphce.gf2 import GF2Vector
 from graphce.graphs import (
     DuplicateEdgeWarning,
     Graph6Error,
     QubitSet,
-    biadjacency,
+    _row_rank,
     canonical_form,
+    cut_rank,
     family,
     from_edges,
     is_connected,
@@ -113,33 +113,32 @@ def test_neighborhood_simple_cases():
 
 
 def test_biadjacency_no13():
+    # cut rows adj[a] & ~A over A = {qubits 4, 6}: 0011 and 0010 on qubits 1, 2, 3, 5
     g = no13()
-    a = QubitSet.from_members(6, [3, 5])  # qubits 4 and 6
-    b = QubitSet.from_members(6, [0, 1, 2, 4])  # qubits 1, 2, 3, 5
-    m = biadjacency(g, a, b)
-    assert m.row(0) == GF2Vector.from_string("0011")
-    assert m.row(1) == GF2Vector.from_string("0010")
+    a = QubitSet.from_members(6, [3, 5]).members
+    assert [g.adj[v] & ~a for v in (3, 5)] == [0b010100, 0b000100]
+    assert cut_rank(g, a) == 2
 
 
 def test_biadjacency_edge_cases():
     g = from_edges(2, [(0, 1)])
-    empty = QubitSet(2, 0)
-    m = biadjacency(g, empty, QubitSet.from_members(2, [0, 1]))
-    assert m.rows == 0 and m.cols == 2
-    single = biadjacency(g, QubitSet.from_members(2, [0]), QubitSet.from_members(2, [1]))
-    assert single.row(0) == GF2Vector.from_string("1")
-    with pytest.raises(ValueError):
-        biadjacency(g, QubitSet.from_members(2, [0]), QubitSet.from_members(2, [0, 1]))
+    assert cut_rank(g, 0) == 0
+    assert cut_rank(g, 0b11) == 0
+    assert cut_rank(g, 0b01) == 1
+    with pytest.raises(ValueError, match="out of range"):
+        cut_rank(g, 0b100)
 
 
 def test_biadjacency_transpose_symmetry():
+    # rows A -> B and rows B -> A are transposes of each other
     rng = random.Random(3)
     for _ in range(25):
         g = random_connected_graph(rng.randint(2, 9), rng)
-        members = [v for v in range(g.n) if rng.random() < 0.5]
-        a = QubitSet.from_members(g.n, members)
-        b = a.complement()
-        assert biadjacency(g, a, b) == biadjacency(g, b, a).transpose()
+        a = sum(1 << v for v in range(g.n) if rng.random() < 0.5)
+        b = ((1 << g.n) - 1) ^ a
+        a_rows = [g.adj[v] & b for v in range(g.n) if (a >> v) & 1]
+        b_rows = [g.adj[v] & a for v in range(g.n) if (b >> v) & 1]
+        assert _row_rank(a_rows) == _row_rank(b_rows) == cut_rank(g, a) == cut_rank(g, b)
 
 
 def test_is_connected():
@@ -254,3 +253,17 @@ def test_family_vertex_counts():
     assert family("linear", 1).n == 1
     assert family("snowflake", 1).n == 2
     assert math.comb(5, 2) == family("complete", 5).edge_count()
+
+
+def test_edge_list_errors_name_the_line():
+    with pytest.raises(ValueError, match=r"line 2: vertex labels must be integers, got '1 x'"):
+        parse_edge_list("3\n1 x")
+    # blank and comment lines still count towards the line number
+    with pytest.raises(ValueError, match=r"line 4: vertex label out of range 1\.\.3, got '2 4'"):
+        parse_edge_list("# header\n3\n\n2 4\n")
+    with pytest.raises(ValueError, match=r"line 3: expected 'u v' pair, got '1 2 3'"):
+        parse_edge_list("3\n1 2\n1 2 3\n")
+    with pytest.raises(ValueError, match=r"line 2: self-loop, got '3 3'"):
+        parse_edge_list("3\n3 3\n")
+    with pytest.raises(ValueError, match=r"line 1: first line must be the vertex count, got 'x'"):
+        parse_edge_list("x\n")
