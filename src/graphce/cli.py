@@ -34,6 +34,7 @@ from .metrics import (
 
 USAGE_ERROR = 2
 VERIFY_FAILURE = 1
+CUT_BUDGET_LOG2 = 22
 
 
 class UsageError(ValueError):
@@ -92,6 +93,12 @@ def _parse_cut(text: str, n: int) -> QubitSet:
     return b_set
 
 
+def _check_budget(args: argparse.Namespace, cuts_log2: int) -> None:
+    if cuts_log2 > CUT_BUDGET_LOG2 and not args.no_budget:
+        raise UsageError(f"{args.command} would rank 2^{cuts_log2} cuts, over the budget of "
+                         f"2^{CUT_BUDGET_LOG2}; pass --no-budget to run it anyway")
+
+
 def _fmt(value: DyadicRational, decimal: bool) -> str:
     return value.decimal_str() if decimal else str(value)
 
@@ -116,6 +123,7 @@ def _emit_rows(fields: Sequence[str], rows: list[dict[str, object]], fmt: str, o
 def _cmd_ce(args: argparse.Namespace, out) -> int:
     graph = _load_graph(args)
     subset = _parse_labels(args.subset, graph.n) if args.subset else None
+    _check_budget(args, graph.n - 1 if subset is None or len(subset) == graph.n else len(subset))
     report = ce_report(graph, subset)
     if args.format == "plain":
         out.write(_fmt(report.ce, args.decimal) + "\n")
@@ -150,6 +158,8 @@ def _cmd_purity(args: argparse.Namespace, out) -> int:
 
 def _cmd_rank_index(args: argparse.Namespace, out) -> int:
     graph = _load_graph(args)
+    if graph.n < 2:
+        raise UsageError(f"rank-index needs at least 2 qubits, got {graph.n}")
     half = graph.n // 2
     if args.m is not None and not 1 <= args.m <= half:
         raise UsageError(f"--m must be in 1..{half} for this graph")
@@ -169,6 +179,7 @@ def _cmd_rank_index(args: argparse.Namespace, out) -> int:
 
 def _cmd_spectrum(args: argparse.Namespace, out) -> int:
     graph = _load_graph(args)
+    _check_budget(args, graph.n - 1)
     spectrum = purity_spectrum(graph)
     if args.format == "csv":
         rows = []
@@ -295,6 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ce.add_argument("--subset", metavar="LABELS", help="1-indexed labels, e.g. \"1,3,5\"")
     p_ce.add_argument("--format", choices=("plain", "table", "csv", "json-lines"), default="plain")
     p_ce.add_argument("--decimal", action="store_true", help="print exact decimals instead of fractions")
+    p_ce.add_argument("--no-budget", action="store_true", help=f"run even above 2^{CUT_BUDGET_LOG2} cut-ranks")
     p_ce.set_defaults(func=_cmd_ce)
 
     p_pur = sub.add_parser("purity", help="reduced-state purity of a subset or across a cut")
@@ -314,6 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_graph_source(p_sp)
     p_sp.add_argument("--format", choices=("table", "csv"), default="table")
     p_sp.add_argument("--decimal", action="store_true")
+    p_sp.add_argument("--no-budget", action="store_true", help=f"run even above 2^{CUT_BUDGET_LOG2} cut-ranks")
     p_sp.set_defaults(func=_cmd_spectrum)
 
     p_sv = sub.add_parser("survey", help="CE over all connected isomorphism classes of n qubits")

@@ -2,18 +2,24 @@
 
 Vertices are 0-indexed internally; the CLI and file formats use 1-indexed
 qubit labels.  The upper-triangle edge-bit order used by graph6, edge masks
-and canonical forms is column-major: (0,1), (0,2), (1,2), (0,3), ...
+and canonical forms is column-major: (0,1), (0,2), (1,2), (0,3), ...  Column j
+starts at offset j(j-1)/2 and, reversed, is lower row j: ``adj[j] & (2^j - 1)``.
+Readers add the upper half by one bit-matrix transpose; `Graph` checks symmetry by it.
 """
 
 from __future__ import annotations
 
 import random
+import sys
 import warnings
+from array import array
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Sequence
 
 CANONICAL_MAX_VERTICES = 8
 GRAPH6_MAX_VERTICES = 62
+_GRAPH6_BITS = {63 + k: format(k, "06b") for k in range(64)}
 
 
 class DuplicateEdgeWarning(UserWarning):
@@ -91,10 +97,9 @@ class Graph:
                 raise ValueError(f"adjacency row {v} has bits beyond vertex range")
             if (row >> v) & 1:
                 raise ValueError(f"self-loop at vertex {v}")
-        for u in range(self.n):
-            for v in range(u + 1, self.n):
-                if ((self.adj[u] >> v) & 1) != ((self.adj[v] >> u) & 1):
-                    raise ValueError(f"adjacency not symmetric at ({u}, {v})")
+        if self.n > 1 and (cols := _transpose(self.adj, self.n)) != tuple(self.adj):
+            u, diff = next((u, row ^ col) for u, (row, col) in enumerate(zip(self.adj, cols)) if row != col)
+            raise ValueError(f"adjacency not symmetric at ({u}, {(diff & -diff).bit_length() - 1})")
 
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
@@ -109,20 +114,48 @@ class Graph:
         return bool((self.adj[u] >> v) & 1)
 
 
+def _swap_steps(w: int) -> tuple[tuple[int, int], ...]:
+    """(shift, mask) per swap step k = w/2, ..., 1 of a packed w x w transpose: the upper-right
+    k x k block of each 2k x 2k block (mask) trades places with the lower-left one (shift)."""
+    # top bit first: per 2k bits a mask row is k ones (j & k) then k zeros; rows with i & k are zero
+    rows = {k: ("1" * k + "0" * k) * (w // (2 * k)) for k in (w >> s for s in range(1, w.bit_length()))}
+    return tuple((k * (w - 1), int(("0" * w * k + row * k) * (w // (2 * k)), 2)) for k, row in rows.items())
+
+
+# per tile width w: the packer of rows into (and out of) w-bit machine words, and the swap steps
+_TILES = {8 * array(c).itemsize: (bytes if c == "B" else partial(array, c), _swap_steps(8 * array(c).itemsize))
+          for c in "BHIQ"}
+
+
+def _transpose(rows: Sequence[int], n: int) -> tuple[int, ...]:
+    """Columns of the bit matrix with n columns and int rows ``rows`` (at most n of them).
+
+    Up to 64 vertices the rows are packed into one int, one w-bit machine word each, and
+    transposed by log2(w) masked swaps; past that, 64 x 64 tiles keep each int at 4096 bits."""
+    if n > 64:
+        bands = range(0, n, 64)
+        tiles = {(r0, c0): _transpose([(row >> c0) & (2**64 - 1) for row in rows[r0:r0 + 64]], 64)
+                 for r0 in bands for c0 in bands}
+        return tuple(sum(tiles[r0, c - c % 64][c % 64] << r0 for r0 in bands) for c in range(n))
+    w = max(8, 1 << (n - 1).bit_length())
+    pack, steps = _TILES[w]
+    x = int.from_bytes(pack(rows), sys.byteorder)
+    for shift, mask in steps:
+        t = ((x >> shift) ^ x) & mask
+        x ^= t ^ (t << shift)
+    return tuple(pack(x.to_bytes(w * w // 8, sys.byteorder))[:n])
+
+
 def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph from 0-indexed endpoint pairs; duplicate edges collapse with a warning."""
     adj = [0] * n
-    seen: set[tuple[int, int]] = set()
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge endpoint ({u}, {v}) out of range for n={n}")
         if u == v:
             raise ValueError(f"self-loop ({u}, {v}) not allowed")
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            warnings.warn(f"duplicate edge {key} collapsed", DuplicateEdgeWarning, stacklevel=2)
-            continue
-        seen.add(key)
+        if (adj[u] >> v) & 1:
+            warnings.warn(f"duplicate edge {(min(u, v), max(u, v))} collapsed", DuplicateEdgeWarning, stacklevel=2)
         adj[u] |= 1 << v
         adj[v] |= 1 << u
     return Graph(n, tuple(adj))
@@ -222,18 +255,9 @@ def is_connected(graph: Graph) -> bool:
 def induced_subgraph(graph: Graph, keep: QubitSet) -> Graph:
     """The subgraph on `keep`, relabelled 0..|keep|-1 in ascending vertex order."""
     members = list(keep)
-    index = {v: i for i, v in enumerate(members)}
-    adj = [0] * len(members)
-    for v in members:
-        row = graph.adj[v] & keep.members
-        w = 0
-        r = row
-        while r:
-            if r & 1:
-                adj[index[v]] |= 1 << index[w]
-            r >>= 1
-            w += 1
-    return Graph(len(members), tuple(adj))
+    # column v of the kept rows holds v's kept neighbours, already relabelled
+    cols = _transpose([graph.adj[v] for v in members], graph.n)
+    return Graph(len(members), tuple(cols[v] for v in members))
 
 
 # --- upper-triangle edge masks ------------------------------------------------
@@ -246,30 +270,16 @@ def pair_count(n: int) -> int:
     return n * (n - 1) // 2
 
 
-def pair_index(i: int, j: int) -> int:
-    """Column-major index of the pair (i, j) with i < j."""
-    if not i < j:
-        raise ValueError(f"need i < j, got ({i}, {j})")
-    return j * (j - 1) // 2 + i
-
-
 def graph_to_mask(graph: Graph) -> int:
-    total = pair_count(graph.n)
-    mask = 0
-    for i, j in graph.edges():
-        mask |= 1 << (total - 1 - pair_index(i, j))
-    return mask
+    packed = sum((row & ((1 << j) - 1)) << (j * (j - 1) // 2) for j, row in enumerate(graph.adj))
+    return int(format(packed, f"0{pair_count(graph.n)}b")[::-1], 2)
 
 
 def mask_to_graph(mask: int, n: int) -> Graph:
     total = pair_count(n)
-    adj = [0] * n
-    for j in range(1, n):
-        for i in range(j):
-            if (mask >> (total - 1 - pair_index(i, j))) & 1:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    return Graph(n, tuple(adj))
+    packed = int(format(mask & ((1 << total) - 1), f"0{total}b")[::-1], 2)
+    lower = [(packed >> (j * (j - 1) // 2)) & ((1 << j) - 1) for j in range(n)]
+    return Graph(n, tuple(lo | up for lo, up in zip(lower, _transpose(lower, n))))
 
 
 # --- graph6 -------------------------------------------------------------------
@@ -281,14 +291,9 @@ def write_graph6(graph: Graph) -> str:
     if n > GRAPH6_MAX_VERTICES:
         raise ValueError(f"graph6 short form supports n <= {GRAPH6_MAX_VERTICES}, got {n}")
     total = pair_count(n)
-    mask = graph_to_mask(graph)
-    out = [chr(63 + n)]
     # body bits in pair order, padded with zeros to a 6-bit boundary
-    ngroups = (total + 5) // 6
-    padded = mask << (6 * ngroups - total)
-    for g in range(ngroups):
-        out.append(chr(63 + ((padded >> (6 * (ngroups - 1 - g))) & 0x3F)))
-    return "".join(out)
+    bits = format(graph_to_mask(graph), f"0{total}b") + "00000"
+    return chr(63 + n) + "".join(chr(63 + int(bits[i:i + 6], 2)) for i in range(0, total, 6))
 
 
 def parse_graph6(text: str) -> Graph:
@@ -298,9 +303,9 @@ def parse_graph6(text: str) -> Graph:
         s = s[len(">>graph6<<"):]
     if not s:
         raise Graph6Error("empty graph6 string", 0)
-    for off, ch in enumerate(s):
-        if not 63 <= ord(ch) <= 126:
-            raise Graph6Error(f"character {ch!r} outside printable graph6 range", off)
+    if min(s) < "?" or max(s) > "~":
+        off = next(off for off, ch in enumerate(s) if not "?" <= ch <= "~")
+        raise Graph6Error(f"character {s[off]!r} outside printable graph6 range", off)
     n = ord(s[0]) - 63
     if n > GRAPH6_MAX_VERTICES:
         raise Graph6Error("malformed length byte (long form not supported)", 0)
@@ -308,13 +313,10 @@ def parse_graph6(text: str) -> Graph:
     ngroups = (total + 5) // 6
     if len(s) - 1 != ngroups:
         raise Graph6Error(f"expected {ngroups} body bytes for n={n}, got {len(s) - 1}", min(len(s), 1 + ngroups))
-    padded = 0
-    for ch in s[1:]:
-        padded = (padded << 6) | (ord(ch) - 63)
-    pad_bits = 6 * ngroups - total
-    if padded & ((1 << pad_bits) - 1):
+    bits = s[1:].translate(_GRAPH6_BITS)
+    if "1" in bits[total:]:
         raise Graph6Error("trailing padding bits nonzero", len(s) - 1)
-    return mask_to_graph(padded >> pad_bits, n)
+    return mask_to_graph(int(bits[:total] or "0", 2), n)
 
 
 # --- edge-list text format ------------------------------------------------------
@@ -333,21 +335,29 @@ def parse_edge_list(text: str) -> Graph:
         n = int(count)
     except ValueError:
         raise ValueError(f"line {first}: first line must be the vertex count, got {count!r}") from None
-    edges = []
+    if n < 0:
+        raise ValueError(f"line {first}: vertex count must be non-negative, got {count!r}")
+    adj = [0] * n
+    duplicates = []
     for i, ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 2:
             raise ValueError(f"line {i}: expected 'u v' pair, got {ln!r}")
         try:
-            u, v = int(parts[0]), int(parts[1])
+            u, v = int(parts[0]) - 1, int(parts[1]) - 1
         except ValueError:
             raise ValueError(f"line {i}: vertex labels must be integers, got {ln!r}") from None
-        if not (1 <= u <= n and 1 <= v <= n):
+        if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"line {i}: vertex label out of range 1..{n}, got {ln!r}")
         if u == v:
             raise ValueError(f"line {i}: self-loop, got {ln!r}")
-        edges.append((u - 1, v - 1))
-    return from_edges(n, edges)
+        if (adj[u] >> v) & 1:
+            duplicates.append(f"duplicate edge {(min(u, v), max(u, v))} collapsed")
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    for message in duplicates:  # only once every line has parsed: a rejected input warns of nothing
+        warnings.warn(message, DuplicateEdgeWarning, stacklevel=2)
+    return Graph(n, tuple(adj))
 
 
 def write_edge_list(graph: Graph) -> str:

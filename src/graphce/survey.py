@@ -20,11 +20,9 @@ from .graphs import (
     Graph,
     QubitSet,
     family,
-    graph_to_mask,
     is_connected,
     mask_to_graph,
     pair_count,
-    pair_index,
     write_graph6,
 )
 from .metrics import (
@@ -64,9 +62,9 @@ def _edge_pow2_table(n: int) -> np.ndarray:
     for pi, perm in enumerate(perms):
         for j in range(1, n):
             for i in range(j):
-                u, v = perm[i], perm[j]
-                src_bit = total - 1 - pair_index(i, j)
-                dst_bit = total - 1 - pair_index(min(u, v), max(u, v))
+                lo, hi = sorted((perm[i], perm[j]))
+                src_bit = total - 1 - (j * (j - 1) // 2 + i)
+                dst_bit = total - 1 - (hi * (hi - 1) // 2 + lo)
                 table[pi, src_bit] = 1 << dst_bit
     return table
 

@@ -209,3 +209,52 @@ def test_edge_list_error_names_line(tmp_path, capsys):
     code, _ = invoke(["ce", "--edges", str(path)])
     assert code == 2
     assert "line 3: vertex labels must be integers, got '1 x'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("graph6", ["@", "?"])
+def test_rank_index_needs_two_qubits(graph6, capsys):
+    code, text = invoke(["rank-index", "--graph6", graph6])
+    assert (code, text) == (2, "")
+    assert f"rank-index needs at least 2 qubits, got {ord(graph6) - 63}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["ce", "spectrum"])
+def test_work_budget_refuses_large_sweeps(command, capsys):
+    code, text = invoke([command, "--family", "star", "--size", "40"])
+    assert (code, text) == (2, "")
+    err = capsys.readouterr().err
+    assert f"{command} would rank 2^39 cuts, over the budget of 2^22" in err
+    assert "--no-budget" in err
+
+
+def test_work_budget_allows_small_sweeps():
+    # the largest benchmark sweep: 2^15 cuts at n = 16
+    assert invoke(["ce", "--family", "star", "--size", "16"]) == (0, "32767/65536\n")
+    assert invoke(["spectrum", "--family", "ring", "--size", "16", "--format", "csv"])[0] == 0
+    # a subset of s qubits costs 2^|s| cut-ranks however large the graph
+    assert invoke(["ce", "--family", "star", "--size", "40", "--subset", "1,2"]) == (0, "3/8\n")
+
+
+def test_no_budget_opts_in(monkeypatch, capsys):
+    monkeypatch.setattr("graphce.cli.CUT_BUDGET_LOG2", 4)
+    assert invoke(["ce", "--family", "star", "--size", "6"])[0] == 2
+    assert "ce would rank 2^5 cuts, over the budget of 2^4" in capsys.readouterr().err
+    assert invoke(["ce", "--family", "star", "--size", "6", "--no-budget"]) == (0, "31/64\n")
+    assert invoke(["ce", "--family", "star", "--size", "6", "--subset", "1,2,3,4"]) == (0, "15/32\n")
+    assert invoke(["ce", "--family", "star", "--size", "6", "--subset", "1,2,3,4,5"])[0] == 2
+    assert invoke(["spectrum", "--family", "star", "--size", "6"])[0] == 2
+    assert invoke(["spectrum", "--family", "star", "--size", "6", "--no-budget"])[0] == 0
+
+
+def test_python_dash_m_runs_the_cli():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import graphce
+
+    env = {**os.environ, "PYTHONPATH": str(Path(graphce.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-m", "graphce", "ce", "--graph6", "EhC_"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "21/32\n", "")

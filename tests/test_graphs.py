@@ -2,11 +2,13 @@
 
 import math
 import random
+import warnings
 
 import pytest
 
 from graphce.graphs import (
     DuplicateEdgeWarning,
+    Graph,
     Graph6Error,
     QubitSet,
     _row_rank,
@@ -267,3 +269,62 @@ def test_edge_list_errors_name_the_line():
         parse_edge_list("3\n3 3\n")
     with pytest.raises(ValueError, match=r"line 1: first line must be the vertex count, got 'x'"):
         parse_edge_list("x\n")
+
+
+def test_edge_list_negative_vertex_count_names_the_line():
+    with pytest.raises(ValueError, match=r"^line 1: vertex count must be non-negative, got '-3'$"):
+        parse_edge_list("-3\n")
+    with pytest.raises(ValueError, match=r"^line 2: vertex count must be non-negative, got '-1'$"):
+        parse_edge_list("# comment\n-1\n1 2\n")
+
+
+def test_graph_validation_messages():
+    with pytest.raises(ValueError, match=r"^adjacency row 1 has bits beyond vertex range$"):
+        Graph(3, (0b010, 0b1001, 0))
+    with pytest.raises(ValueError, match=r"^self-loop at vertex 2$"):
+        Graph(3, (0, 0, 0b100))
+    # several asymmetries: (1, 3) and (1, 4) on vertex 1, (2, 4) beyond it, and (0, 2) is symmetric;
+    # the message names the smallest vertex and then its smallest partner, whichever row holds the bit
+    adj = (0b00100, 0b10000, 0b10001, 0b00010, 0b00000)
+    with pytest.raises(ValueError, match=r"^adjacency not symmetric at \(1, 3\)$"):
+        Graph(5, adj)
+    with pytest.raises(ValueError, match=r"^adjacency not symmetric at \(0, 1\)$"):
+        Graph(2, (0b10, 0b00))
+    with pytest.raises(ValueError, match=r"^adjacency not symmetric at \(0, 1\)$"):
+        Graph(2, (0b00, 0b01))
+
+
+def test_graph_validation_past_one_tile():
+    # 80 vertices: the symmetry check spans four 64 x 64 tiles
+    g = family("snowflake", 40)
+    adj = list(g.adj)
+    adj[70] |= 1 << 3  # 70 and 3 are not joined in the snowflake
+    with pytest.raises(ValueError, match=r"^adjacency not symmetric at \(3, 70\)$"):
+        Graph(80, tuple(adj))
+
+
+def test_graph6_bad_character_offset_mid_body():
+    for bad in ("\x01", "\x7f", " ", "é"):
+        with pytest.raises(Graph6Error) as exc:
+            parse_graph6("Eh" + bad + "_")
+        assert exc.value.offset == 2
+        assert str(exc.value) == f"character {bad!r} outside printable graph6 range (byte offset 2)"
+    with pytest.raises(Graph6Error) as exc:
+        parse_graph6(">>graph6<<EhC\x00")  # offsets count from the end of the header
+    assert exc.value.offset == 3
+
+
+def test_duplicate_edge_warning_text():
+    with pytest.warns(DuplicateEdgeWarning) as record:
+        g = from_edges(4, [(0, 1), (3, 2), (1, 0), (2, 3)])
+    assert [str(w.message) for w in record] == ["duplicate edge (0, 1) collapsed", "duplicate edge (2, 3) collapsed"]
+    assert g == from_edges(4, [(0, 1), (2, 3)])
+    with pytest.warns(DuplicateEdgeWarning) as record:
+        g = parse_edge_list("4\n1 2\n4 3\n2 1\n")
+    assert [str(w.message) for w in record] == ["duplicate edge (0, 1) collapsed"]
+    assert g == from_edges(4, [(0, 1), (2, 3)])
+    # an edge list rejected further down warns of nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^line 4: vertex labels must be integers, got '1 x'$"):
+            parse_edge_list("4\n1 2\n2 1\n1 x\n")

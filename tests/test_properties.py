@@ -1,10 +1,27 @@
-"""Property tests: cut-rank against the enumeration oracle, and DyadicRational against Fraction."""
+"""Property tests: cut-rank against the enumeration oracle, DyadicRational against Fraction,
+and the bitset graph readers and writers against pair-by-pair reference loops."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from graphce.graphs import QubitSet, _row_rank, cut_rank, mask_to_graph, pair_count
+from graphce.graphs import (
+    Graph,
+    Graph6Error,
+    QubitSet,
+    _row_rank,
+    _transpose,
+    cut_rank,
+    family,
+    from_edges,
+    graph_to_mask,
+    mask_to_graph,
+    pair_count,
+    parse_edge_list,
+    parse_graph6,
+    write_edge_list,
+    write_graph6,
+)
 from graphce.metrics import DyadicRational
 from graphce.stabilizer import count_distinct_sets
 
@@ -63,3 +80,146 @@ def test_dyadic_matches_fraction(x, y):
         with pytest.raises(ValueError):
             x - y
 
+
+
+# --- graph construction against pair-by-pair references -------------------------
+
+
+def reference_graph(mask, n):
+    """Pair p = (i, j), i < j, in column-major order, is an edge iff mask bit P-1-p is set."""
+    total = pair_count(n)
+    adj = [0] * n
+    for j in range(1, n):
+        for i in range(j):
+            if (mask >> (total - 1 - (j * (j - 1) // 2 + i))) & 1:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    return Graph(n, tuple(adj))
+
+
+def reference_graph6(g):
+    """graph6 short form: the pair bits, column-major, in 6-bit groups offset by 63."""
+    bits = [(g.adj[i] >> j) & 1 for j in range(g.n) for i in range(j)]
+    bits += [0] * (-len(bits) % 6)
+    groups = [int("".join(map(str, bits[k:k + 6])), 2) for k in range(0, len(bits), 6)]
+    return chr(63 + g.n) + "".join(chr(63 + b) for b in groups)
+
+
+def reference_transpose(rows, n):
+    return tuple(sum(((rows[j] >> i) & 1) << j for j in range(len(rows))) for i in range(n))
+
+
+def masked_graphs(max_n):
+    return st.integers(0, max_n).flatmap(
+        lambda n: st.integers(0, (1 << pair_count(n)) - 1).map(lambda mask: (mask, n))
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(masked_graphs(62))
+def test_graph6_round_trip_up_to_62_vertices(case):
+    mask, n = case
+    g = reference_graph(mask, n)
+    text = write_graph6(g)
+    assert text == reference_graph6(g)
+    assert parse_graph6(text) == g
+
+
+@settings(max_examples=150, deadline=None)
+@given(masked_graphs(80))
+def test_edge_list_round_trip(case):
+    mask, n = case
+    g = reference_graph(mask, n)
+    assert parse_edge_list(write_edge_list(g)) == g
+    assert from_edges(n, g.edges()) == g
+
+
+@settings(max_examples=300, deadline=None)
+@given(masked_graphs(8))
+def test_masks_and_graphs_are_inverse(case):
+    mask, n = case
+    g = mask_to_graph(mask, n)
+    assert g == reference_graph(mask, n)
+    assert graph_to_mask(g) == mask
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 130).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=n))
+))
+def test_transpose_matches_reference(case):
+    n, rows = case
+    assert _transpose(rows, n) == reference_transpose(rows, n)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(65, 130).flatmap(
+    lambda n: st.tuples(st.just(n), st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=300))
+))
+def test_from_edges_past_64_vertices(case):
+    n, pairs = case
+    edges = sorted({(min(u, v), max(u, v)) for u, v in pairs if u != v})
+    g = from_edges(n, edges)
+    assert g.edges() == edges
+    mask = sum(1 << (pair_count(n) - 1 - (j * (j - 1) // 2 + i)) for i, j in edges)
+    assert g == reference_graph(mask, n)
+
+
+def test_snowflake_past_64_vertices():
+    g = family("snowflake", 40)
+    assert g.n == 80 and g.edge_count() == 40 * 39 // 2 + 40
+    assert all(g.has_edge(i, i + 40) and g.degree(i + 40) == 1 for i in range(40))
+    assert all(g.degree(i) == 40 for i in range(40))
+
+
+def declared_vertex_count(text):
+    """The vertex count an edge list declares, or None (building n rows validates (n/64)^2 tiles)."""
+    lines = [ln.strip() for ln in text.splitlines()]
+    first = next((ln for ln in lines if ln and not ln.startswith("#")), None)
+    try:
+        return int(first)
+    except (TypeError, ValueError):
+        return None
+
+
+graph6_like = st.one_of(
+    st.text(),
+    st.text(alphabet=st.characters(min_codepoint=60, max_codepoint=130), max_size=400),
+    st.integers(0, 62).flatmap(
+        lambda n: st.text(alphabet=st.characters(min_codepoint=62, max_codepoint=127),
+                          min_size=(pair_count(n) + 5) // 6, max_size=(pair_count(n) + 5) // 6 + 1)
+        .map(lambda body: chr(63 + n) + body)
+    ),
+)
+edge_list_like = st.one_of(
+    st.text(),
+    st.lists(
+        st.one_of(
+            st.text(alphabet="0123456789 -#x\t", max_size=8),
+            st.tuples(st.integers(-2, 12), st.integers(-2, 12)).map(lambda p: f"{p[0]} {p[1]}"),
+        ),
+        max_size=20,
+    ).map("\n".join),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(graph6_like)
+def test_arbitrary_graph6_text_gives_a_graph_or_graph6_error(text):
+    try:
+        g = parse_graph6(text)
+    except Graph6Error:
+        return
+    assert write_graph6(g) == text.strip().removeprefix(">>graph6<<")
+
+
+@settings(max_examples=400, deadline=None)
+@given(edge_list_like)
+def test_arbitrary_edge_list_text_gives_a_graph_or_value_error(text):
+    count = declared_vertex_count(text)
+    assume(count is None or count <= 1000)
+    try:
+        g = parse_edge_list(text)
+    except ValueError:
+        return
+    assert g.n == count
