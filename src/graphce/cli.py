@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 import time
@@ -23,6 +24,7 @@ from .graphs import (
     parse_edge_list,
     parse_graph6,
     random_connected_graph,
+    write_graph6,
 )
 from .metrics import (
     DyadicRational,
@@ -163,6 +165,7 @@ def _cmd_rank_index(args: argparse.Namespace, out) -> int:
     half = graph.n // 2
     if args.m is not None and not 1 <= args.m <= half:
         raise UsageError(f"--m must be in 1..{half} for this graph")
+    _check_budget(args, graph.n - 1 if args.m is None else (math.comb(graph.n, args.m) - 1).bit_length())
     ms = [args.m] if args.m is not None else list(range(1, half + 1))
     if args.format == "csv":
         rows = []
@@ -247,36 +250,42 @@ def _verify_suite(seed: int, trials: int, out) -> bool:
     out.write(f"verify seed: {seed}\n")
     all_ok = True
 
-    def run_block(name: str, total: int, one: Callable[[], bool]) -> None:
+    def run_block(name: str, total: int, one: Callable[[], tuple[bool, Graph, str]]) -> None:
         nonlocal all_ok
         start = time.perf_counter()
-        passed = sum(1 for _ in range(total) if one())
+        passed = 0
+        for _ in range(total):
+            ok, graph, case = one()
+            passed += ok
+            if not ok:
+                print(f"{name} failed: seed {seed}, graph6 {write_graph6(graph)}{case}", file=sys.stderr)
         status = "ok" if passed == total else "FAIL"
         if passed != total:
             all_ok = False
         out.write(f"{name}: {passed}/{total} {status} ({time.perf_counter() - start:.2f}s)\n")
 
-    def stab_case() -> bool:
+    def stab_case() -> tuple[bool, Graph, str]:
         g = random_connected_graph(rng.randint(2, 8), rng)
-        return dense.check_stabilizer(g)
+        return dense.check_stabilizer(g), g, ""
 
-    def measure_case() -> bool:
+    def measure_case() -> tuple[bool, Graph, str]:
         g = random_connected_graph(rng.randint(2, 8), rng)
-        return dense.check_measurement_rule(g, rng.randrange(g.n), rng.choice((1, -1)))
+        a, outcome = rng.randrange(g.n), rng.choice((1, -1))
+        return dense.check_measurement_rule(g, a, outcome), g, f", qubit {a + 1}, outcome {outcome:+d}"
 
-    def lemma_case() -> bool:
+    def lemma_case() -> tuple[bool, Graph, str]:
         g = random_connected_graph(rng.randint(2, 8), rng)
         size = rng.randint(1, g.n - 1) if g.n > 1 else 1
         a_set = QubitSet.from_members(g.n, rng.sample(range(g.n), size))
-        return dense.check_lemma(g, a_set)
+        return dense.check_lemma(g, a_set), g, f", A={{{_labels_1idx(a_set)}}}"
 
-    def purity_case() -> bool:
+    def purity_case() -> tuple[bool, Graph, str]:
         g = random_connected_graph(rng.randint(2, 10), rng)
         members = [q for q in range(g.n) if rng.random() < 0.5]
         b_set = QubitSet.from_members(g.n, members)
         exact = float(purity(g, b_set))
         approx = dense.dense_purity(dense.build_state(g), b_set)
-        return abs(exact - approx) <= 1e-10
+        return abs(exact - approx) <= 1e-10, g, f", B={{{_labels_1idx(b_set)}}}"
 
     run_block("stabilizer eigenstate checks", trials, stab_case)
     run_block("measurement rule checks", trials, measure_case)
@@ -320,6 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_graph_source(p_ri)
     p_ri.add_argument("--m", type=int, help="cut size (default: all m up to n/2)")
     p_ri.add_argument("--format", choices=("table", "csv"), default="table")
+    p_ri.add_argument("--no-budget", action="store_true", help=f"run even above 2^{CUT_BUDGET_LOG2} cut-ranks")
     p_ri.set_defaults(func=_cmd_rank_index)
 
     p_sp = sub.add_parser("spectrum", help="purity tallies per cut size")

@@ -3,11 +3,18 @@
 Amplitude indices put qubit 0 at the most significant bit.  Everything here
 is float/complex and deliberately independent of the exact rational code
 paths it verifies.
+
+Each check is a few batched numpy operations over one cached, read-only
+index array per width.  ``build_state`` takes one pass per vertex;
+``check_stabilizer`` builds all 2^n generator products by doubling, and
+``check_lemma`` forms every outcome state as a sign matrix times one base
+state and compares the whole Gram matrix at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -55,7 +62,15 @@ def _index_mask(qubit_bits: int, n: int) -> int:
 
 
 def _parity(values: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(values.astype(np.uint64)) & 1
+    return np.bitwise_count(values.astype(np.uint64, copy=False)) & 1
+
+
+@lru_cache(maxsize=None)
+def _indices(n: int) -> np.ndarray:
+    """The amplitude indices 0 .. 2^n - 1, shared and read-only."""
+    idx = np.arange(1 << n, dtype=np.uint64)
+    idx.flags.writeable = False
+    return idx
 
 
 def build_state(graph: Graph) -> StateVector:
@@ -63,25 +78,29 @@ def build_state(graph: Graph) -> StateVector:
     n = graph.n
     if n > DENSE_MAX_QUBITS:
         raise ValueError(f"dense oracle limited to n <= {DENSE_MAX_QUBITS}, got {n}")
-    amps = np.full(1 << n, 2.0 ** (-n / 2), dtype=np.complex128)
-    idx = np.arange(1 << n, dtype=np.uint64)
-    for u, v in graph.edges():
-        both = ((idx >> np.uint64(n - 1 - u)) & (idx >> np.uint64(n - 1 - v))) & np.uint64(1)
-        amps[both == 1] *= -1.0
-    return StateVector(n, amps)
+    idx = _indices(n)
+    # the CZ phase of index i: parity over u set in i of popcount(i & upper neighbours of u)
+    phase = np.zeros(1 << n, dtype=np.uint64)
+    for u, row in enumerate(graph.adj):
+        upper = np.uint64(_index_mask(row >> (u + 1) << (u + 1), n))
+        phase ^= (idx >> np.uint64(n - 1 - u)) & np.bitwise_count(idx & upper)
+    amps = (1.0 - 2.0 * (phase & np.uint64(1))) * 2.0 ** (-n / 2)
+    return StateVector(n, amps.astype(np.complex128))
+
+
+def _apply(amps: np.ndarray, gen: PauliGenerator) -> np.ndarray:
+    """sign * prod X^x Z^z applied along the last axis of amps."""
+    n = gen.n
+    src = _indices(n) ^ np.uint64(_index_mask(gen.x_bits.bits, n))
+    signs = 1.0 - 2.0 * _parity(src & np.uint64(_index_mask(gen.z_bits.bits, n)))
+    return gen.sign * signs * amps[..., src]
 
 
 def apply_generator(state: StateVector, gen: PauliGenerator) -> StateVector:
     """Apply a signed Pauli string sign * prod X^x Z^z to the state."""
-    n = state.n
-    if gen.n != n:
-        raise ValueError(f"generator width {gen.n} != state width {n}")
-    x_idx = _index_mask(gen.x_bits.bits, n)
-    z_idx = _index_mask(gen.z_bits.bits, n)
-    idx = np.arange(1 << n, dtype=np.uint64)
-    src = idx ^ np.uint64(x_idx)
-    signs = 1.0 - 2.0 * _parity(src & np.uint64(z_idx))
-    return StateVector(n, gen.sign * signs * state.amplitudes[src])
+    if gen.n != state.n:
+        raise ValueError(f"generator width {gen.n} != state width {state.n}")
+    return StateVector(state.n, _apply(state.amplitudes, gen))
 
 
 def stabilizes(state: StateVector, gen: PauliGenerator, tol: float = STATE_TOL) -> bool:
@@ -97,15 +116,12 @@ def check_stabilizer(graph: Graph, tol: float = STATE_TOL) -> bool:
     if not all(stabilizes(state, g, tol) for g in tableau.generators):
         return False
     if graph.n <= 6:
-        for subset in range(1 << graph.n):
-            cur = state
-            picked = subset
-            while picked:
-                a = (picked & -picked).bit_length() - 1
-                cur = apply_generator(cur, tableau.generators[a])
-                picked &= picked - 1
-            if np.max(np.abs(cur.amplitudes - state.amplitudes)) > tol:
-                return False
+        # row S of products is prod_{a in S} g_a |G>, applied in ascending a
+        products = state.amplitudes[np.newaxis]
+        for gen in tableau.generators:
+            products = np.concatenate((products, _apply(products, gen)))
+        if np.max(np.abs(products - state.amplitudes)) > tol:
+            return False
     return True
 
 
@@ -130,7 +146,7 @@ def _project_and_drop(state: StateVector, a: int, outcome: int) -> StateVector:
     n = state.n
     keep_bit = 0 if outcome == 1 else 1
     p = n - 1 - a
-    sub = np.arange(1 << (n - 1), dtype=np.uint64)
+    sub = _indices(n - 1)
     full = ((sub >> np.uint64(p)) << np.uint64(p + 1)) | np.uint64(keep_bit << p) | (sub & np.uint64((1 << p) - 1))
     amps = state.amplitudes[full]
     norm = np.linalg.norm(amps)
@@ -196,17 +212,12 @@ def check_lemma(graph: Graph, a_set: QubitSet, tol: float = MATCH_TOL) -> bool:
         raise ValueError(f"lemma check limited to n <= {MEASURE_MAX_QUBITS}, got {n}")
     if len(a_set) > LEMMA_MAX_TRACED:
         raise ValueError(f"lemma check limited to |A| <= {LEMMA_MAX_TRACED}, got {len(a_set)}")
-    count = 1 << len(a_set)
-    supports = []
-    states = np.empty((count, 1 << (n - len(a_set))), dtype=np.complex128)
-    for value in range(count):
-        z = OutcomeBitstring.from_int(a_set, value)
-        supports.append(unitary_support(graph, a_set, z).bits)
-        states[value] = outcome_state(graph, a_set, z).amplitudes
+    base = build_state(induced_subgraph(graph, a_set.complement()))
+    supports = np.array([
+        _index_mask(unitary_support(graph, a_set, OutcomeBitstring.from_int(a_set, value)).bits, base.n)
+        for value in range(1 << len(a_set))
+    ], dtype=np.uint64)
+    # U(z) is the Z string on the support, so outcome state z is a sign row times the base
+    states = (1.0 - 2.0 * _parity(supports[:, np.newaxis] & _indices(base.n))) * base.amplitudes
     gram = states @ states.conj().T
-    for i in range(count):
-        for j in range(count):
-            target = 1.0 if supports[i] == supports[j] else 0.0
-            if abs(gram[i, j] - target) > tol:
-                return False
-    return True
+    return not np.any(np.abs(gram - (supports[:, np.newaxis] == supports)) > tol)

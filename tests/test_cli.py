@@ -246,7 +246,8 @@ def test_no_budget_opts_in(monkeypatch, capsys):
     assert invoke(["spectrum", "--family", "star", "--size", "6", "--no-budget"])[0] == 0
 
 
-def test_python_dash_m_runs_the_cli():
+def run_module(argv):
+    """`python -m graphce ARGV` in a child process, killed after 60 s."""
     import os
     import subprocess
     import sys
@@ -255,6 +256,79 @@ def test_python_dash_m_runs_the_cli():
     import graphce
 
     env = {**os.environ, "PYTHONPATH": str(Path(graphce.__file__).parents[1])}
-    done = subprocess.run([sys.executable, "-m", "graphce", "ce", "--graph6", "EhC_"],
-                          capture_output=True, text=True, env=env, timeout=60)
+    return subprocess.run([sys.executable, "-m", "graphce", *argv], capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_python_dash_m_runs_the_cli():
+    done = run_module(["ce", "--graph6", "EhC_"])
     assert (done.returncode, done.stdout, done.stderr) == (0, "21/32\n", "")
+
+
+def test_rank_index_work_budget_refuses_large_sweeps():
+    # in a child process, so that a missing guard fails by timeout instead of hanging
+    for extra, log2 in (([], 39), (["--m", "10"], 30)):
+        done = run_module(["rank-index", "--family", "star", "--size", "40", *extra])
+        assert (done.returncode, done.stdout) == (2, "")
+        assert f"rank-index would rank 2^{log2} cuts, over the budget of 2^22" in done.stderr
+        assert "--no-budget" in done.stderr
+
+
+def test_rank_index_work_budget_allows_no13(monkeypatch, no13_path, capsys):
+    # C(6, 2) = 15 cuts fit a budget of 2^4, all m (2^5) do not
+    assert invoke(["rank-index", "--family", "star", "--size", "40", "--m", "2"]) == (0, "RI_2 = (0,780)\n")
+    monkeypatch.setattr("graphce.cli.CUT_BUDGET_LOG2", 4)
+    assert invoke(["rank-index", "--edges", no13_path, "--m", "2"]) == (0, "RI_2 = (12,3)\n")
+    assert invoke(["rank-index", "--edges", no13_path])[0] == 2
+    assert "rank-index would rank 2^5 cuts, over the budget of 2^4" in capsys.readouterr().err
+    code, text = invoke(["rank-index", "--edges", no13_path, "--no-budget"])
+    assert (code, text) == (0, "RI_1 = (6)\nRI_2 = (12,3)\nRI_3 = (4,4,2)\n")
+
+
+def test_failing_verify_names_its_case(monkeypatch, capsys):
+    import re
+
+    from graphce import dense
+    from graphce.graphs import parse_graph6
+
+    real = dense.check_lemma
+    seen = []
+
+    def fails_third_case(graph, a_set):
+        seen.append((graph, a_set))
+        return real(graph, a_set) and len(seen) != 3
+
+    monkeypatch.setattr(dense, "check_lemma", fails_third_case)
+    code, text = invoke(["verify", "--seed", "5", "--trials", "4"])
+    assert code == 1
+    assert re.sub(r" \(\d+\.\d+s\)", "", text).splitlines()[3:] == ["lemma checks: 3/4 FAIL",
+                                                                    "purity oracle equivalence: 4/4 ok", "verify: FAIL"]
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    match = re.fullmatch(r"lemma checks failed: seed 5, graph6 (\S+), A=\{([\d,]+)\}", err[0])
+    graph, a_set = seen[2]
+    assert parse_graph6(match[1]) == graph
+    assert [int(q) - 1 for q in match[2].split(",")] == list(a_set)
+
+
+VERIFY_GOLDENS = {
+    ("5", "10"): "verify seed: 5\n"
+                 "stabilizer eigenstate checks: 10/10 ok\n"
+                 "measurement rule checks: 10/10 ok\n"
+                 "lemma checks: 10/10 ok\n"
+                 "purity oracle equivalence: 10/10 ok\n"
+                 "verify: PASS\n",
+    ("238", "25"): "verify seed: 238\n"
+                   "stabilizer eigenstate checks: 25/25 ok\n"
+                   "measurement rule checks: 25/25 ok\n"
+                   "lemma checks: 25/25 ok\n"
+                   "purity oracle equivalence: 25/25 ok\n"
+                   "verify: PASS\n",
+}
+
+
+@pytest.mark.parametrize("seed,trials", sorted(VERIFY_GOLDENS))
+def test_verify_stdout_golden(seed, trials):
+    import re
+
+    code, text = invoke(["verify", "--seed", seed, "--trials", trials])
+    assert (code, re.sub(r" \(\d+\.\d+s\)", "", text)) == (0, VERIFY_GOLDENS[seed, trials])

@@ -1,9 +1,12 @@
 """Tests for the state-vector oracle and its agreement with the stabilizer engine."""
 
+import dataclasses
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphce.dense import (
     StateVector,
@@ -17,7 +20,7 @@ from graphce.dense import (
     reduced_density_matrix,
     stabilizes,
 )
-from graphce.graphs import QubitSet, family, from_edges, random_connected_graph
+from graphce.graphs import QubitSet, family, from_edges, mask_to_graph, pair_count, random_connected_graph
 from graphce.metrics import purity
 from graphce.stabilizer import (
     GF2Vector,
@@ -25,9 +28,16 @@ from graphce.stabilizer import (
     PauliGenerator,
     graph_generators,
     support_multiplicities,
+    unitary_support,
 )
 
 NO13 = from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5)])
+
+
+def graphs(max_n):
+    return st.integers(1, max_n).flatmap(
+        lambda n: st.integers(0, (1 << pair_count(n)) - 1).map(lambda mask: mask_to_graph(mask, n))
+    )
 
 
 def test_build_state_single_vertex():
@@ -198,3 +208,81 @@ def test_reduced_state_reconstruction():
 def test_statevector_shape_validation():
     with pytest.raises(ValueError):
         StateVector(2, np.ones(3, dtype=np.complex128))
+
+
+def per_edge_state(graph):
+    n = graph.n
+    amps = np.full(1 << n, 2.0 ** (-n / 2), dtype=np.complex128)
+    idx = np.arange(1 << n, dtype=np.uint64)
+    for u, v in graph.edges():
+        both = ((idx >> np.uint64(n - 1 - u)) & (idx >> np.uint64(n - 1 - v))) & np.uint64(1)
+        amps[both == 1] *= -1.0
+    return amps
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(10))
+def test_build_state_equals_per_edge_reference(graph):
+    assert np.array_equal(build_state(graph).amplitudes, per_edge_state(graph))
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs(6), st.integers(0, 2**32 - 1))
+def test_generator_products_match_per_subset_reference(graph, seed):
+    # on a state no generator fixes, check_stabilizer passes exactly when tol reaches
+    # the largest deviation among all 2^n products, so that maximum must match a
+    # per-subset loop bit for bit
+    rng = np.random.default_rng(seed)
+    state = StateVector(graph.n, rng.normal(size=1 << graph.n) + 1j * rng.normal(size=1 << graph.n))
+    gens = graph_generators(graph).generators
+    worst = 0.0
+    for subset in range(1 << graph.n):
+        cur = state
+        for a in range(graph.n):
+            if (subset >> a) & 1:
+                cur = apply_generator(cur, gens[a])
+        worst = max(worst, np.max(np.abs(cur.amplitudes - state.amplitudes)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("graphce.dense.build_state", lambda g: state)
+        assert check_stabilizer(graph, tol=worst)
+        assert not check_stabilizer(graph, tol=np.nextafter(worst, 0.0))
+
+
+def test_check_stabilizer_catches_a_flipped_sign(monkeypatch):
+    tableau = graph_generators(NO13)
+    gens = list(tableau.generators)
+    gens[4] = PauliGenerator(-gens[4].sign, gens[4].x_bits, gens[4].z_bits)
+    monkeypatch.setattr("graphce.dense.graph_generators",
+                        lambda g: dataclasses.replace(tableau, generators=tuple(gens)))
+    assert not check_stabilizer(NO13)
+
+
+def test_check_lemma_catches_a_wrong_base_state(monkeypatch):
+    # the weight of amplitude 1 of |G - A> moved onto amplitude 0: still normalised, but
+    # outcomes whose supports differ in the last surviving qubit stop being orthogonal
+    real = build_state
+
+    def broken(graph):
+        amps = real(graph).amplitudes.copy()
+        amps[0], amps[1] = amps[0] * np.sqrt(2.0), 0.0
+        return StateVector(graph.n, amps)
+
+    a = QubitSet.from_members(6, [3, 5])
+    assert check_lemma(NO13, a)
+    monkeypatch.setattr("graphce.dense.build_state", broken)
+    assert not check_lemma(NO13, a)
+
+
+def test_flipped_support_is_caught_by_the_measurement_rule(monkeypatch):
+    # check_lemma cannot see this defect: Z strings on any two different supports give
+    # orthogonal states of a graph state, so states built from wrong supports still obey
+    # the lemma.  The dense projection in check_measurement_rule does not use the support.
+    def flipped(graph, a_set, z):
+        support = unitary_support(graph, a_set, z)
+        return dataclasses.replace(support, bits=support.bits ^ 1)
+
+    a = QubitSet.from_members(6, [3, 5])
+    monkeypatch.setattr("graphce.dense.unitary_support", flipped)
+    assert check_lemma(NO13, a)
+    assert not check_measurement_rule(NO13, 5, -1)
+    assert not check_measurement_rule(NO13, 5, +1)
