@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Iterable, Sequence
 
+MAX_VERTICES = 4096  # parsing and validating a graph this large takes about 0.1 s
 CANONICAL_MAX_VERTICES = 8
 GRAPH6_MAX_VERTICES = 62
 _GRAPH6_BITS = {63 + k: format(k, "06b") for k in range(64)}
@@ -89,6 +90,8 @@ class Graph:
     def __post_init__(self) -> None:
         if self.n < 0:
             raise ValueError(f"negative vertex count {self.n}")
+        if self.n > MAX_VERTICES:
+            raise ValueError(f"vertex count {self.n} exceeds the limit of {MAX_VERTICES}")
         if len(self.adj) != self.n:
             raise ValueError(f"expected {self.n} adjacency rows, got {len(self.adj)}")
         full = (1 << self.n) - 1
@@ -173,6 +176,9 @@ def family(kind: str, n: int) -> Graph:
     """
     if n < 1:
         raise ValueError(f"family size must be >= 1, got {n}")
+    if (2 * n if kind == "snowflake" else n) > MAX_VERTICES:
+        raise ValueError(f"{kind}({n}) exceeds the limit of {MAX_VERTICES} vertices")
+    full = (1 << n) - 1
     if kind == "linear":
         return from_edges(n, [(i, i + 1) for i in range(n - 1)])
     if kind == "ring":
@@ -182,11 +188,10 @@ def family(kind: str, n: int) -> Graph:
     if kind == "star":
         return from_edges(n, [(0, i) for i in range(1, n)])
     if kind == "complete":
-        return from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+        return Graph(n, tuple(full ^ (1 << v) for v in range(n)))
     if kind == "snowflake":
-        core = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        pendants = [(i, i + n) for i in range(n)]
-        return from_edges(2 * n, core + pendants)
+        core = tuple(full ^ (1 << v) | (1 << (v + n)) for v in range(n))
+        return Graph(2 * n, core + tuple(1 << v for v in range(n)))
     raise ValueError(f"unknown family kind {kind!r}; expected one of {FAMILY_KINDS}")
 
 
@@ -337,6 +342,8 @@ def parse_edge_list(text: str) -> Graph:
         raise ValueError(f"line {first}: first line must be the vertex count, got {count!r}") from None
     if n < 0:
         raise ValueError(f"line {first}: vertex count must be non-negative, got {count!r}")
+    if n > MAX_VERTICES:
+        raise ValueError(f"line {first}: vertex count {n} exceeds the limit of {MAX_VERTICES}")
     adj = [0] * n
     duplicates = []
     for i, ln in lines[1:]:
@@ -369,67 +376,70 @@ def write_edge_list(graph: Graph) -> str:
 # --- canonical form -------------------------------------------------------------
 
 
+def _least_code(adj: Sequence[int], best: list[int], stop: bool, depth: int = 0,
+                cells: list[tuple[int, int]] | None = None) -> bool:
+    """Lower ``best`` in place toward the least column sequence over all vertex orders.
+
+    Column j is vertex j's adjacency to vertices 0..j-1, vertex 0 most significant,
+    so the least sequence spells the least upper-triangle edge mask.  ``cells`` holds
+    the unplaced vertices as (column on the first ``depth`` placed, vertex mask) pairs
+    in increasing column order; placing v turns column c into (c << 1) | adj bit, which
+    splits each cell by adjacency to v and keeps the order.  The least sequence always
+    places a vertex of the first cell next, and of two vertices swapped by a
+    transposition automorphism (equal adjacency apart from each other) only one is
+    followed.  With ``stop``, return True at the first lowering instead of making it.
+    """
+    if cells is None:
+        cells = [(0, (1 << len(best)) - 1)]
+    cmin, first = cells[0]
+    if cmin != best[depth]:
+        if cmin > best[depth]:
+            return False
+        if stop:
+            return True
+        best[depth:] = [cmin] + [1 << len(best)] * (len(best) - depth - 1)  # deeper columns unset
+    if depth == len(best) - 1:
+        return False
+    group: list[int] = []
+    while first:
+        low = first & -first
+        first ^= low
+        v = low.bit_length() - 1
+        row = adj[v]
+        for u in group:
+            if (row ^ adj[u]) & ~(low | (1 << u)) == 0:
+                break
+        else:
+            group.append(v)
+            split = []
+            for c, m in cells:
+                m &= ~low
+                if m & ~row:
+                    split.append((c << 1, m & ~row))
+                if m & row:
+                    split.append(((c << 1) | 1, m & row))
+            if _least_code(adj, best, stop, depth + 1, split):
+                return True
+    return False
+
+
 def canonical_form(graph: Graph, max_vertices: int = CANONICAL_MAX_VERTICES) -> bytes:
     """Canonical byte key: equal for two graphs iff they are isomorphic.
 
-    The key encodes the minimum upper-triangle edge mask over all vertex
-    orderings.  The lexicographic minimum always extends a prefix whose next
-    adjacency column is minimal, so the search only branches on minimal-column
-    candidates, collapses candidates that are interchangeable by a
-    transposition automorphism, and prunes prefixes that already exceed the
-    best ordering found.
+    The key encodes the least upper-triangle edge mask over all vertex
+    orders, found by one `_least_code` search from an unset column sequence.
     """
     n = graph.n
     if n > max_vertices:
         raise ValueError(f"canonical_form limited to n <= {max_vertices}, got {n}")
-    total = pair_count(n)
     if n <= 1:
         return bytes([n])
-    adj = graph.adj
-    best: list[int] | None = None
-
-    def rec(placed: list[int], remaining: list[int], cols: list[int]) -> None:
-        nonlocal best
-        depth = len(placed)
-        if best is not None:
-            for d in range(depth):
-                if cols[d] < best[d]:
-                    break
-                if cols[d] > best[d]:
-                    return
-        if depth == n:
-            if best is None or cols < best:
-                best = cols.copy()
-            return
-        scored = []
-        for v in remaining:
-            c = 0
-            for u in placed:
-                c = (c << 1) | ((adj[u] >> v) & 1)
-            scored.append((c, v))
-        cmin = min(c for c, _ in scored)
-        # collapse interchangeable candidates: identical adjacency away from the pair
-        group: list[int] = []
-        for c, v in scored:
-            if c != cmin:
-                continue
-            keep = True
-            for u in group:
-                pair_bits = (1 << u) | (1 << v)
-                if (adj[v] | pair_bits) == (adj[u] | pair_bits):
-                    keep = False
-                    break
-            if keep:
-                group.append(v)
-        for v in group:
-            rec(placed + [v], [w for w in remaining if w != v], cols + [cmin])
-
-    rec([], list(range(n)), [])
-    assert best is not None
+    best = [1 << n] * n
+    _least_code(graph.adj, best, False)
     mask = 0
     for depth, c in enumerate(best):
         mask = (mask << depth) | c
-    return bytes([n]) + mask.to_bytes((total + 7) // 8, "big")
+    return bytes([n]) + mask.to_bytes((pair_count(n) + 7) // 8, "big")
 
 
 def permute(graph: Graph, order: Sequence[int]) -> Graph:

@@ -180,23 +180,17 @@ class PuritySpectrum:
         """(purity, count) pairs at level m, smallest purity first."""
         return [(DyadicRational.pow2(r), c) for r, c in sorted(self.levels[m], reverse=True)]
 
-    def level_sum(self, m: int) -> DyadicRational:
-        total = DyadicRational.zero()
-        for r, c in self.levels[m]:
-            total += DyadicRational(c, r)
-        return total
-
     def ce_full(self) -> DyadicRational:
         """Concentratable Entanglement of the full qubit set via cut symmetry.
 
-        Every level sum stands in for itself and its complementary level, so
-        the power-set sum is 2 * sum of level sums, including the middle
-        level, whose subsets are stored halved.
+        Every level stands in for itself and its complementary level, so the
+        power-set sum of purities is twice the levels' sum, the middle level
+        included, whose subsets are stored halved: CE = 1 - sum of
+        count * 2^-r over the levels, divided by 2^(n-1).
         """
-        total = DyadicRational.zero()
-        for m in range(len(self.levels)):
-            total += self.level_sum(m)
-        return DyadicRational.one() - total.shifted(self.n - 1)
+        n = self.n
+        acc = sum(c << (n - r) for level in self.levels for r, c in level)
+        return DyadicRational((1 << (2 * n - 1)) - acc, 2 * n - 1)
 
     def distinct_purity_count(self) -> int:
         """Distinct purity values over all proper bipartitions (m >= 1)."""
@@ -304,12 +298,9 @@ def ce_bounds(n: int) -> tuple[DyadicRational, DyadicRational]:
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    lo = DyadicRational(1, 1) - DyadicRational(1, n)
-    acc = DyadicRational.zero()
-    for j in range(n + 1):
-        acc += DyadicRational(math.comb(n, j), min(j, n - j))
-    hi = DyadicRational.one() - acc.shifted(n)
-    return lo, hi
+    lo = DyadicRational((1 << (n - 1)) - 1, n)
+    acc = sum(math.comb(n, j) << (n - min(j, n - j)) for j in range(n + 1))
+    return lo, DyadicRational((1 << (2 * n)) - acc, 2 * n)
 
 
 def snowflake_subset_ce(n: int) -> DyadicRational:

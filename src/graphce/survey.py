@@ -1,28 +1,27 @@
 """Isomorph-free enumeration of connected graphs and the CE landscape over them.
 
-Enumeration sweeps all labelled upper-triangle edge masks in increasing
-order; each newly reached mask is the minimum of its isomorphism orbit, and
-the whole orbit is marked before moving on, so every representative comes
-out in canonical (minimum-encoding) labelling.  Orbits are generated from a
-per-size table of edge-bit permutations, vectorised with numpy.
+Each isomorphism class is represented by its least-code labelling: the one
+whose upper-triangle edge mask is least (`graphs.canonical_form`'s key).
+Deleting the last vertex of a least-code graph leaves a least-code graph, as
+a lesser prefix would give a lesser code, so every class on k vertices arises
+exactly once as a least-code graph on k - 1 vertices plus a last vertex, and
+the search that `canonical_form` runs, seeded with a candidate's own columns,
+tells whether it is least (Read 1978; McKay 1998).  No table of seen graphs
+is kept.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import permutations
-from typing import Iterable
-
-import numpy as np
+from typing import Iterable, Iterator
 
 from .graphs import (
     Graph,
     QubitSet,
+    _least_code,
     family,
+    graph_to_mask,
     is_connected,
-    mask_to_graph,
-    pair_count,
     write_graph6,
 )
 from .metrics import (
@@ -34,8 +33,6 @@ from .metrics import (
 
 ENUMERATION_MAX_VERTICES = 8
 STRETCH_MIN_VERTICES = 7
-
-_SCAN_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -53,64 +50,43 @@ class SurveyRecord:
     core_subset_ce: DyadicRational | None = None
 
 
-@lru_cache(maxsize=None)
-def _edge_pow2_table(n: int) -> np.ndarray:
-    """table[p, source_bit] = 2^target_bit for the p-th vertex permutation."""
-    total = pair_count(n)
-    perms = list(permutations(range(n)))
-    table = np.zeros((len(perms), total), dtype=np.int64)
-    for pi, perm in enumerate(perms):
-        for j in range(1, n):
-            for i in range(j):
-                lo, hi = sorted((perm[i], perm[j]))
-                src_bit = total - 1 - (j * (j - 1) // 2 + i)
-                dst_bit = total - 1 - (hi * (hi - 1) // 2 + lo)
-                table[pi, src_bit] = 1 << dst_bit
-    return table
-
-
-def _next_unseen(seen: np.ndarray, start: int) -> int:
-    size = seen.shape[0]
-    pos = start
-    while pos < size:
-        chunk = seen[pos:pos + _SCAN_CHUNK]
-        first = int(np.argmin(chunk))
-        if not chunk[first]:
-            return pos + first
-        pos += chunk.shape[0]
-    return -1
+def _children(rows: tuple[int, ...], cols: list[int], connected: bool) -> Iterator[tuple[tuple[int, ...], list[int]]]:
+    """The least-code graphs whose last vertex deletes to the least-code graph with adjacency
+    rows `rows` and columns `cols`, as (rows, columns); with `connected`, only connected ones."""
+    k = len(rows)
+    # a parent's twins u < v: a neighbourhood with u but not v loses to its swap
+    twins = [(1 << u, (1 << u) | (1 << v)) for v in range(k) for u in range(v)
+             if (rows[u] ^ rows[v]) & ~((1 << u) | (1 << v)) == 0]
+    for s in range(1 << k):
+        if any(s & pair == low for low, pair in twins):
+            continue
+        c = int(format(s, f"0{k}b")[::-1], 2)  # the new column: vertex 0 most significant
+        # the new vertex moved to position j would put its top j bits there in place of cols[j]
+        if any(c >> (k - j) < cols[j] for j in range(1, k)):
+            continue
+        child = tuple(row | (((s >> u) & 1) << k) for u, row in enumerate(rows)) + (s,)
+        if connected and not is_connected(Graph(k + 1, child)):
+            continue
+        code = cols + [c]
+        if not _least_code(child, code, True):
+            yield child, code
 
 
 def enumerate_connected(n: int, *, stretch: bool = False) -> list[Graph]:
-    """One canonical representative per isomorphism class of connected graphs.
+    """One least-code representative per isomorphism class of connected graphs, by edge mask.
 
-    n <= 6 runs unconditionally; n = 7, 8 require stretch=True (the n = 8
-    sweep allocates a 2^28-entry visited table and takes on the order of a
-    minute).
+    Every graph on k - 1 vertices, connected or not, is extended by one vertex;
+    a star's least code, for one, puts the centre last.  n <= 6 runs
+    unconditionally; n = 7, 8 require stretch=True.
     """
     if not 1 <= n <= ENUMERATION_MAX_VERTICES:
         raise ValueError(f"enumeration supports 1 <= n <= {ENUMERATION_MAX_VERTICES}, got {n}")
     if n >= STRETCH_MIN_VERTICES and not stretch:
         raise ValueError(f"n = {n} enumeration needs stretch=True (it is deliberately flag-gated)")
-    if n == 1:
-        return [Graph(1, (0,))]
-    total = pair_count(n)
-    table = _edge_pow2_table(n)
-    seen = np.zeros(1 << total, dtype=bool)
-    bit_positions = np.arange(total, dtype=np.int64)
-    reps: list[Graph] = []
-    mask = 0
-    while True:
-        mask = _next_unseen(seen, mask)
-        if mask < 0:
-            break
-        bits = ((mask >> bit_positions) & 1).astype(bool)
-        orbit = table[:, bits].sum(axis=1) if bits.any() else np.zeros(table.shape[0], dtype=np.int64)
-        seen[orbit] = True
-        graph = mask_to_graph(mask, n)
-        if is_connected(graph):
-            reps.append(graph)
-    return reps
+    level = [((0,), [0])]  # rows and columns of the one graph on one vertex
+    for k in range(2, n + 1):
+        level = [child for rows, cols in level for child in _children(rows, cols, k == n)]
+    return sorted((Graph(n, rows) for rows, _ in level), key=graph_to_mask)
 
 
 def _record(graph: Graph, *, kind: str | None = None, size: int | None = None) -> SurveyRecord:

@@ -1,4 +1,4 @@
-"""End-to-end tests of the command-line interface."""
+"""End-to-end tests of the command-line interface, and of library limits in child processes."""
 
 import io
 import json
@@ -124,6 +124,19 @@ def test_survey_table_footer():
     assert "distinct CE values: 1" in text
 
 
+@pytest.mark.parametrize("argv, digest", [
+    (["survey", "--n", "6"], "11fee796a6c3a1b834a8d9f4abd707ab01d7a3e8c777be1f491cec5a02c8a02a"),
+    (["survey", "--n", "7", "--stretch", "--format", "csv"],
+     "baad7f31317b89b0351d90ab1a4bc4a694a982fdbb6a22609b2b838bea93c257"),
+], ids=["n6-table", "n7-csv"])
+def test_survey_stdout_golden(argv, digest):
+    import hashlib
+
+    code, text = invoke(argv)
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_survey_stretch_gate():
     code, _ = invoke(["survey", "--n", "7"])
     assert code == 2
@@ -246,17 +259,28 @@ def test_no_budget_opts_in(monkeypatch, capsys):
     assert invoke(["spectrum", "--family", "star", "--size", "6", "--no-budget"])[0] == 0
 
 
-def run_module(argv):
-    """`python -m graphce ARGV` in a child process, killed after 60 s."""
+def run_python(args, memory_mb=None):
+    """`python ARGS` against this graphce in a child process, killed after 60 s; with
+    `memory_mb`, its address space is capped at that size."""
     import os
+    import resource
     import subprocess
     import sys
     from pathlib import Path
 
     import graphce
 
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (memory_mb << 20, memory_mb << 20))
+
     env = {**os.environ, "PYTHONPATH": str(Path(graphce.__file__).parents[1])}
-    return subprocess.run([sys.executable, "-m", "graphce", *argv], capture_output=True, text=True, env=env, timeout=60)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=60,
+                          preexec_fn=cap if memory_mb else None)
+
+
+def run_module(argv, memory_mb=None):
+    """`python -m graphce ARGV` in a child process, killed after 60 s."""
+    return run_python(["-m", "graphce", *argv], memory_mb)
 
 
 def test_python_dash_m_runs_the_cli():
@@ -271,6 +295,43 @@ def test_rank_index_work_budget_refuses_large_sweeps():
         assert (done.returncode, done.stdout) == (2, "")
         assert f"rank-index would rank 2^{log2} cuts, over the budget of 2^22" in done.stderr
         assert "--no-budget" in done.stderr
+
+
+def test_vertex_count_cap_is_a_usage_error(tmp_path):
+    # in a child process with capped memory, so that a missing cap fails instead of building a million rows
+    done = run_module(["ce", "--family", "ring", "--size", "1000000"], memory_mb=512)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert "ring(1000000) exceeds the limit of 4096 vertices" in done.stderr
+    path = tmp_path / "big.txt"
+    path.write_text("1000000\n")
+    done = run_module(["spectrum", "--edges", str(path)], memory_mb=512)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert "line 1: vertex count 1000000 exceeds the limit of 4096" in done.stderr
+
+
+def test_library_vertex_count_cap_comes_before_any_work():
+    # in a child process with capped memory, so that a missing cap fails instead of building a million rows
+    done = run_python(["-c", (
+        "from graphce.graphs import Graph, family, parse_edge_list\n"
+        "for build in (lambda: parse_edge_list('# big\\n1000000\\n'), lambda: family('ring', 10**6),\n"
+        "              lambda: family('snowflake', 2049), lambda: Graph(4097, (0,) * 4097)):\n"
+        "    try:\n"
+        "        build()\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n"
+    )], memory_mb=512)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "line 2: vertex count 1000000 exceeds the limit of 4096",
+        "ring(1000000) exceeds the limit of 4096 vertices",
+        "snowflake(2049) exceeds the limit of 4096 vertices",
+        "vertex count 4097 exceeds the limit of 4096",
+    ]
+
+
+def test_numpy_loads_only_for_the_dense_oracle():
+    done = run_python(["-c", "import sys, graphce, graphce.cli; print('numpy' in sys.modules)"])
+    assert (done.returncode, done.stdout) == (0, "False\n")
 
 
 def test_rank_index_work_budget_allows_no13(monkeypatch, no13_path, capsys):

@@ -233,10 +233,11 @@ def test_canonical_form_matches_brute_force_min():
 
     from graphce.graphs import graph_to_mask, mask_to_graph, pair_count
 
-    for mask in range(1 << pair_count(4)):
-        g = mask_to_graph(mask, 4)
-        brute = min(graph_to_mask(permute(g, order)) for order in itertools.permutations(range(4)))
-        assert canonical_form(g) == bytes([4]) + brute.to_bytes(1, "big")
+    for n in (4, 5):
+        for mask in range(1 << pair_count(n)):
+            g = mask_to_graph(mask, n)
+            brute = min(graph_to_mask(permute(g, order)) for order in itertools.permutations(range(n)))
+            assert canonical_form(g) == bytes([n]) + brute.to_bytes((pair_count(n) + 7) // 8, "big")
 
 
 def test_canonical_form_bound():
@@ -328,3 +329,10 @@ def test_duplicate_edge_warning_text():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=r"^line 4: vertex labels must be integers, got '1 x'$"):
             parse_edge_list("4\n1 2\n2 1\n1 x\n")
+
+
+def test_vertex_cap_admits_its_limit():
+    from graphce.graphs import MAX_VERTICES
+
+    assert parse_edge_list(f"{MAX_VERTICES}\n1 {MAX_VERTICES}\n").edge_count() == 1
+    assert family("snowflake", MAX_VERTICES // 2).n == MAX_VERTICES

@@ -1,5 +1,8 @@
-"""Property tests: cut-rank against the enumeration oracle, DyadicRational against Fraction,
+"""Property tests: cut-rank against the enumeration oracle, DyadicRational and CE sums against Fraction,
 and the bitset graph readers and writers against pair-by-pair reference loops."""
+
+import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -22,7 +25,7 @@ from graphce.graphs import (
     write_edge_list,
     write_graph6,
 )
-from graphce.metrics import DyadicRational
+from graphce.metrics import DyadicRational, PuritySpectrum, ce_bounds
 from graphce.stabilizer import count_distinct_sets
 
 MAX_N = 10
@@ -80,6 +83,32 @@ def test_dyadic_matches_fraction(x, y):
         with pytest.raises(ValueError):
             x - y
 
+
+@st.composite
+def spectra(draw):
+    """A purity spectrum whose levels hold at most as many cuts as a real one."""
+    n = draw(st.integers(1, 30))
+    levels = []
+    for m in range(n // 2 + 1):
+        cuts = math.comb(n, m) // (2 if 2 * m == n else 1)
+        counts = draw(st.lists(st.integers(0, cuts // (m + 1)), min_size=m + 1, max_size=m + 1))
+        levels.append(tuple((r, c) for r, c in enumerate(counts) if c))
+    return PuritySpectrum(n, tuple(levels))
+
+
+@settings(max_examples=150, deadline=None)
+@given(spectra())
+def test_ce_full_matches_fraction_sum(spectrum):
+    n = spectrum.n
+    purity_sum = sum(Fraction(c, 1 << r) for level in spectrum.levels for r, c in level)
+    assert spectrum.ce_full().as_fraction() == 1 - purity_sum / (1 << (n - 1))
+
+
+def test_ce_bounds_match_fraction_sums():
+    for n in range(1, 64):
+        lo, hi = ce_bounds(n)
+        assert lo.as_fraction() == Fraction(1, 2) - Fraction(1, 1 << n)
+        assert hi.as_fraction() == 1 - sum(Fraction(math.comb(n, j), 1 << min(j, n - j)) for j in range(n + 1)) / (1 << n)
 
 
 # --- graph construction against pair-by-pair references -------------------------

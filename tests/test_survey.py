@@ -28,7 +28,7 @@ from graphce.survey import (
 )
 
 # one representative per class of connected graphs on 1..8 vertices (OEIS-style counts)
-CLASS_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
+CLASS_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
 
 
 def brute_force_classes(n):
@@ -57,6 +57,17 @@ def test_enumerate_n6_count():
 
 def test_enumerate_n7_stretch_count():
     assert len(enumerate_connected(7, stretch=True)) == CLASS_COUNTS[7]
+
+
+def test_enumerate_n8_stretch_count_and_representatives():
+    import hashlib
+
+    reps = enumerate_connected(8, stretch=True)
+    assert len(reps) == CLASS_COUNTS[8]  # OEIS A001349
+    listing = "".join(write_graph6(g) + "\n" for g in reps)
+    assert hashlib.sha256(listing.encode()).hexdigest() == (
+        "370179f0d16fe7beee1c5b3baca8898cf6f0f9154058486f03031eec0611a145"
+    )
 
 
 def test_enumerate_flag_gate_and_bound():
