@@ -151,6 +151,8 @@ def _transpose(rows: Sequence[int], n: int) -> tuple[int, ...]:
 
 def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph from 0-indexed endpoint pairs; duplicate edges collapse with a warning."""
+    if n > MAX_VERTICES:  # before the rows are allocated
+        raise ValueError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
     adj = [0] * n
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):

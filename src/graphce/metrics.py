@@ -3,7 +3,8 @@
 Every value here is a dyadic rational computed with integer arithmetic; no
 floating point enters this module.  The reduced-state purity across a cut is
 1/k with k the number of distinct post-trace-out generator sets, which equals
-2^r with r the GF(2) cut-rank of the bipartition (``graphs.cut_rank``).
+2^r with r the GF(2) cut-rank of the bipartition (``graphs.cut_rank``); CE
+comes from one count of the stabilizer elements by weight (``_weights``).
 """
 
 from __future__ import annotations
@@ -180,18 +181,6 @@ class PuritySpectrum:
         """(purity, count) pairs at level m, smallest purity first."""
         return [(DyadicRational.pow2(r), c) for r, c in sorted(self.levels[m], reverse=True)]
 
-    def ce_full(self) -> DyadicRational:
-        """Concentratable Entanglement of the full qubit set via cut symmetry.
-
-        Every level stands in for itself and its complementary level, so the
-        power-set sum of purities is twice the levels' sum, the middle level
-        included, whose subsets are stored halved: CE = 1 - sum of
-        count * 2^-r over the levels, divided by 2^(n-1).
-        """
-        n = self.n
-        acc = sum(c << (n - r) for level in self.levels for r, c in level)
-        return DyadicRational((1 << (2 * n - 1)) - acc, 2 * n - 1)
-
     def distinct_purity_count(self) -> int:
         """Distinct purity values over all proper bipartitions (m >= 1)."""
         ranks = {r for level in self.levels[1:] for r, _ in level}
@@ -257,35 +246,57 @@ def rank_index(graph: Graph, m: int) -> RankIndex:
     return RankIndex(m, tuple(counts.get(r, 0) for r in range(m, 0, -1)))
 
 
-def _ce(graph: Graph, s_set: QubitSet) -> tuple[DyadicRational, PuritySpectrum | None]:
-    """CE of s, with the purity spectrum when s is the full qubit set.
+def _weights(graph: Graph, s: int) -> list[int]:
+    """N_w: the number of stabilizer elements of weight w supported inside the vertex mask s.
 
-    The full set sweeps only the smaller sides of the bipartitions and
-    weights them by cut symmetry; a proper subset s sums 2^(|s| - r) over
-    its subsets, since each pairs with its complement in the whole qubit set.
+    The generator product over x has support x | Γx (Γx: the XOR of x's rows), inside s
+    exactly when x is in the kernel of the cut map from s to its complement.  Eliminating
+    the cut rows ``Γx & ~s`` from the unit vectors x of s leaves its |s| - cut_rank(s)
+    basis vectors as the rows that reduce to zero; a Gray-code walk visits their span.
     """
-    k = len(s_set)
+    adj = graph.adj
+    pivots: dict[int, tuple[int, int]] = {}  # leading bit of the cut row -> (x, Γx)
+    basis = []
+    rest = s
+    while rest:
+        x = rest & -rest
+        rest ^= x
+        gx = adj[x.bit_length() - 1]
+        while row := gx & ~s:
+            top = row.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = (x, gx)
+                break
+            x, gx = x ^ pivots[top][0], gx ^ pivots[top][1]
+        else:
+            basis.append((x, gx))
+    counts = [1] + [0] * s.bit_count()
+    x = gx = 0
+    for i in range(1, 1 << len(basis)):
+        bx, bgx = basis[(i & -i).bit_length() - 1]
+        x ^= bx
+        gx ^= bgx
+        counts[(x | gx).bit_count()] += 1
+    return counts
+
+
+def _ce(graph: Graph, s: int) -> DyadicRational:
+    """CE of the vertex mask s from its stabilizer weight counts.
+
+    Tr rho_A^2 = |S_A| / 2^|A| with S_A the stabilizer elements supported in A;
+    summed over the subsets A of s, an element of weight w adds 3^(|s| - w)
+    / 2^|s|, so CE(s) = 1 - 4^-|s| sum_w N_w 3^(|s| - w).
+    """
+    k = s.bit_count()
     if k == 0:
         raise ValueError("Concentratable Entanglement requires a non-empty qubit set")
-    if k == graph.n:
-        spectrum = _sweep(graph)
-        return spectrum.ce_full(), spectrum
-    members = list(s_set)
-    acc = 0
-    for sub in range(1 << k):
-        alpha = 0
-        picked = sub
-        while picked:
-            i = (picked & -picked).bit_length() - 1
-            alpha |= 1 << members[i]
-            picked &= picked - 1
-        acc += 1 << (k - cut_rank(graph, alpha))
-    return DyadicRational((1 << (2 * k)) - acc, 2 * k), None
+    acc = sum(c * 3 ** (k - w) for w, c in enumerate(_weights(graph, s)))
+    return DyadicRational((1 << (2 * k)) - acc, 2 * k)
 
 
 def concentratable_entanglement(graph: Graph, s: QubitSet | Iterable[int]) -> DyadicRational:
     """1 - 2^-|s| times the sum of reduced purities over every subset of s."""
-    ce, _ = _ce(graph, _as_qubitset(graph.n, s))
+    ce = _ce(graph, _as_qubitset(graph.n, s).members)
     _check_connected(graph)
     return ce
 
@@ -323,13 +334,12 @@ class CEReport:
     connected: bool
     achieves_min: bool
     achieves_max: bool
-    spectrum: PuritySpectrum | None
 
 
 def ce_report(graph: Graph, s: QubitSet | Iterable[int] | None = None) -> CEReport:
-    """Evaluate CE and bound attainment; the spectrum is attached for full-set reports."""
+    """Evaluate CE and bound attainment."""
     s_set = QubitSet.full(graph.n) if s is None else _as_qubitset(graph.n, s)
-    ce, spectrum = _ce(graph, s_set)
+    ce = _ce(graph, s_set.members)
     connected = _check_connected(graph)
     lo, hi = ce_bounds(len(s_set))
     return CEReport(
@@ -342,5 +352,4 @@ def ce_report(graph: Graph, s: QubitSet | Iterable[int] | None = None) -> CERepo
         connected=connected,
         achieves_min=ce == lo,
         achieves_max=ce == hi,
-        spectrum=spectrum,
     )

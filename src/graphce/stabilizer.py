@@ -245,28 +245,19 @@ def count_distinct_sets(graph: Graph, a_set: QubitSet, threshold: int = ENUMERAT
     values of the outcome unitary's Z-support.  Raises when |A| exceeds the
     enumeration threshold; use count_distinct_sets_fast there instead.
     """
-    k = len(a_set)
-    if k > threshold:
-        raise ValueError(f"|A| = {k} exceeds enumeration threshold {threshold}; use count_distinct_sets_fast")
-    cols = _support_columns(graph, a_set)
-    seen = {0}
-    cur = 0
-    for g in range(1, 1 << k):
-        cur ^= cols[(g & -g).bit_length() - 1]  # Gray-code walk flips one outcome bit
-        seen.add(cur)
-    return len(seen)
+    return len(support_multiplicities(graph, a_set, threshold))
 
 
 def support_multiplicities(graph: Graph, a_set: QubitSet, threshold: int = ENUMERATION_MAX_QUBITS) -> dict[int, int]:
     """Occurrence count of each distinct support value over all 2^|A| outcomes."""
     k = len(a_set)
     if k > threshold:
-        raise ValueError(f"|A| = {k} exceeds enumeration threshold {threshold}")
+        raise ValueError(f"|A| = {k} exceeds enumeration threshold {threshold}; use count_distinct_sets_fast")
     cols = _support_columns(graph, a_set)
     counts: dict[int, int] = {0: 1}
     cur = 0
     for g in range(1, 1 << k):
-        cur ^= cols[(g & -g).bit_length() - 1]
+        cur ^= cols[(g & -g).bit_length() - 1]  # Gray-code walk flips one outcome bit
         counts[cur] = counts.get(cur, 0) + 1
     return counts
 

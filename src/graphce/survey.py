@@ -17,7 +17,6 @@ from typing import Iterable, Iterator
 
 from .graphs import (
     Graph,
-    QubitSet,
     _least_code,
     family,
     graph_to_mask,
@@ -26,8 +25,8 @@ from .graphs import (
 )
 from .metrics import (
     DyadicRational,
+    _ce,
     ce_bounds,
-    concentratable_entanglement,
     purity_spectrum,
 )
 
@@ -91,11 +90,9 @@ def enumerate_connected(n: int, *, stretch: bool = False) -> list[Graph]:
 
 def _record(graph: Graph, *, kind: str | None = None, size: int | None = None) -> SurveyRecord:
     spectrum = purity_spectrum(graph)
-    ce = spectrum.ce_full()
+    ce = _ce(graph, (1 << graph.n) - 1)
     lo, hi = ce_bounds(graph.n)
-    core_ce = None
-    if kind == "snowflake" and size is not None:
-        core_ce = concentratable_entanglement(graph, QubitSet.from_members(graph.n, range(size)))
+    core_ce = _ce(graph, (1 << size) - 1) if kind == "snowflake" and size is not None else None
     return SurveyRecord(
         graph6=write_graph6(graph),
         n=graph.n,

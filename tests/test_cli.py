@@ -312,9 +312,10 @@ def test_vertex_count_cap_is_a_usage_error(tmp_path):
 def test_library_vertex_count_cap_comes_before_any_work():
     # in a child process with capped memory, so that a missing cap fails instead of building a million rows
     done = run_python(["-c", (
-        "from graphce.graphs import Graph, family, parse_edge_list\n"
+        "from graphce.graphs import Graph, family, from_edges, parse_edge_list\n"
         "for build in (lambda: parse_edge_list('# big\\n1000000\\n'), lambda: family('ring', 10**6),\n"
-        "              lambda: family('snowflake', 2049), lambda: Graph(4097, (0,) * 4097)):\n"
+        "              lambda: family('snowflake', 2049), lambda: Graph(4097, (0,) * 4097),\n"
+        "              lambda: from_edges(10**8, [])):\n"
         "    try:\n"
         "        build()\n"
         "    except ValueError as exc:\n"
@@ -326,6 +327,7 @@ def test_library_vertex_count_cap_comes_before_any_work():
         "ring(1000000) exceeds the limit of 4096 vertices",
         "snowflake(2049) exceeds the limit of 4096 vertices",
         "vertex count 4097 exceeds the limit of 4096",
+        "vertex count 100000000 exceeds the limit of 4096",
     ]
 
 

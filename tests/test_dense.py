@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphce.dense import (
+    MATCH_TOL,
     StateVector,
+    _project_and_drop,
     apply_generator,
     build_state,
     check_lemma,
@@ -273,10 +275,29 @@ def test_check_lemma_catches_a_wrong_base_state(monkeypatch):
     assert not check_lemma(NO13, a)
 
 
+def projection_matches_outcome_state(graph, a_set):
+    """|G> projected onto Z = -1 member by member, highest label first so that the lower
+    labels keep their amplitude bits, equals the all-ones outcome state up to phase."""
+    state = build_state(graph)
+    for a in sorted(a_set, reverse=True):
+        state = _project_and_drop(state, a, -1)
+    expected = outcome_state(graph, a_set, OutcomeBitstring.from_int(a_set, (1 << len(a_set)) - 1))
+    return abs(abs(np.vdot(expected.amplitudes, state.amplitudes)) - 1.0) <= MATCH_TOL
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs(8).filter(lambda g: g.n >= 2).flatmap(
+    lambda g: st.tuples(st.just(g), st.lists(st.integers(0, g.n - 1), min_size=2, max_size=g.n, unique=True))))
+def test_multi_qubit_support_matches_dense_projection(case):
+    graph, members = case
+    assert projection_matches_outcome_state(graph, QubitSet.from_members(graph.n, members))
+
+
 def test_flipped_support_is_caught_by_the_measurement_rule(monkeypatch):
     # check_lemma cannot see this defect: Z strings on any two different supports give
     # orthogonal states of a graph state, so states built from wrong supports still obey
-    # the lemma.  The dense projection in check_measurement_rule does not use the support.
+    # the lemma.  The dense projections, in check_measurement_rule and member by member
+    # over A, do not use the support.
     def flipped(graph, a_set, z):
         support = unitary_support(graph, a_set, z)
         return dataclasses.replace(support, bits=support.bits ^ 1)
@@ -286,3 +307,4 @@ def test_flipped_support_is_caught_by_the_measurement_rule(monkeypatch):
     assert check_lemma(NO13, a)
     assert not check_measurement_rule(NO13, 5, -1)
     assert not check_measurement_rule(NO13, 5, +1)
+    assert not projection_matches_outcome_state(NO13, a)

@@ -292,13 +292,11 @@ def test_ce_report_full_set():
     assert report.subset == (0, 1, 2, 3, 4, 5)
     assert report.connected
     assert not report.achieves_min and not report.achieves_max
-    assert report.spectrum is not None
 
 
 def test_ce_report_subset():
     report = ce_report(NO13, [0])
     assert report.ce == DyadicRational(1, 2)
-    assert report.spectrum is None
     # full-set bounds for size 1 are (0, 0); subset CE legitimately exceeds them
     assert report.bound_min == DyadicRational.zero()
     assert report.bound_max == DyadicRational.zero()

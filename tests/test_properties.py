@@ -25,7 +25,7 @@ from graphce.graphs import (
     write_edge_list,
     write_graph6,
 )
-from graphce.metrics import DyadicRational, PuritySpectrum, ce_bounds
+from graphce.metrics import DyadicRational, _ce, _sweep, _weights, ce_bounds
 from graphce.stabilizer import count_distinct_sets
 
 MAX_N = 10
@@ -84,24 +84,30 @@ def test_dyadic_matches_fraction(x, y):
             x - y
 
 
-@st.composite
-def spectra(draw):
-    """A purity spectrum whose levels hold at most as many cuts as a real one."""
-    n = draw(st.integers(1, 30))
-    levels = []
-    for m in range(n // 2 + 1):
-        cuts = math.comb(n, m) // (2 if 2 * m == n else 1)
-        counts = draw(st.lists(st.integers(0, cuts // (m + 1)), min_size=m + 1, max_size=m + 1))
-        levels.append(tuple((r, c) for r, c in enumerate(counts) if c))
-    return PuritySpectrum(n, tuple(levels))
+walk_graphs = st.integers(1, 11).flatmap(
+    lambda n: st.integers(0, (1 << pair_count(n)) - 1).map(lambda mask: mask_to_graph(mask, n))
+)
 
 
 @settings(max_examples=150, deadline=None)
-@given(spectra())
-def test_ce_full_matches_fraction_sum(spectrum):
-    n = spectrum.n
-    purity_sum = sum(Fraction(c, 1 << r) for level in spectrum.levels for r, c in level)
-    assert spectrum.ce_full().as_fraction() == 1 - purity_sum / (1 << (n - 1))
+@given(walk_graphs.flatmap(lambda g: st.tuples(st.just(g), st.integers(1, (1 << g.n) - 1))))
+def test_ce_walk_matches_fraction_sum_of_cut_rank_purities(case):
+    g, s = case
+    members = [v for v in range(g.n) if (s >> v) & 1]
+    subsets = [sum(1 << v for i, v in enumerate(members) if (sub >> i) & 1) for sub in range(1 << len(members))]
+    purity_sum = sum(Fraction(1, 1 << cut_rank(g, a)) for a in subsets)
+    assert _ce(g, s).as_fraction() == 1 - purity_sum / (1 << len(members))
+
+
+@settings(max_examples=150, deadline=None)
+@given(walk_graphs)
+def test_sweep_levels_match_weight_counts(g):
+    # |S_A| = 2^(m - r(A)) summed over |A| = m counts each element of weight w <= m in C(n - w, m - w) sets
+    n = g.n
+    weights = _weights(g, (1 << n) - 1)
+    for m, level in enumerate(_sweep(g).levels):
+        tally = sum(c << (m - r) for r, c in level) * (2 if 2 * m == n else 1)
+        assert tally == sum(c * math.comb(n - w, m - w) for w, c in enumerate(weights[:m + 1]))
 
 
 def test_ce_bounds_match_fraction_sums():
