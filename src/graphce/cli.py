@@ -37,6 +37,7 @@ from .metrics import (
 USAGE_ERROR = 2
 VERIFY_FAILURE = 1
 CUT_BUDGET_LOG2 = 22
+_VISIT = "visit 2^{} stabilizer elements"  # the CE walk of ce and of each family record
 
 
 class UsageError(ValueError):
@@ -95,10 +96,11 @@ def _parse_cut(text: str, n: int) -> QubitSet:
     return b_set
 
 
-def _check_budget(args: argparse.Namespace, cuts_log2: int) -> None:
-    if cuts_log2 > CUT_BUDGET_LOG2 and not args.no_budget:
-        raise UsageError(f"{args.command} would rank 2^{cuts_log2} cuts, over the budget of "
-                         f"2^{CUT_BUDGET_LOG2}; pass --no-budget to run it anyway")
+def _check_budget(args: argparse.Namespace, log2: int, work: str = "rank 2^{} cuts") -> None:
+    """Exit 2, before any work, if `work`, with log2 put in its "{}", is over the budget."""
+    if log2 > CUT_BUDGET_LOG2 and not getattr(args, "no_budget", False):
+        hint = "; pass --no-budget to run it anyway" if "no_budget" in args else ""
+        raise UsageError(f"{args.command} would {work.format(log2)}, over the budget of 2^{CUT_BUDGET_LOG2}{hint}")
 
 
 def _fmt(value: DyadicRational, decimal: bool) -> str:
@@ -125,7 +127,7 @@ def _emit_rows(fields: Sequence[str], rows: list[dict[str, object]], fmt: str, o
 def _cmd_ce(args: argparse.Namespace, out) -> int:
     graph = _load_graph(args)
     subset = _parse_labels(args.subset, graph.n) if args.subset else None
-    _check_budget(args, graph.n - 1 if subset is None or len(subset) == graph.n else len(subset))
+    _check_budget(args, len(subset) if subset else graph.n, _VISIT)
     report = ce_report(graph, subset)
     if args.format == "plain":
         out.write(_fmt(report.ce, args.decimal) + "\n")
@@ -230,6 +232,8 @@ def _cmd_survey(args: argparse.Namespace, out) -> int:
 def _cmd_family(args: argparse.Namespace, out) -> int:
     if args.start < 1 or args.end < args.start:
         raise UsageError("--from/--to must satisfy 1 <= from <= to")
+    largest = 2 * args.end if args.kind == "snowflake" else args.end
+    _check_budget(args, largest, _VISIT + f" for {args.kind}({args.end})")
     records = survey.family_sweep(args.kind, range(args.start, args.end + 1))
     if args.format == "csv":
         out.write(survey.family_csv(records))
@@ -317,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ce.add_argument("--subset", metavar="LABELS", help="1-indexed labels, e.g. \"1,3,5\"")
     p_ce.add_argument("--format", choices=("plain", "table", "csv", "json-lines"), default="plain")
     p_ce.add_argument("--decimal", action="store_true", help="print exact decimals instead of fractions")
-    p_ce.add_argument("--no-budget", action="store_true", help=f"run even above 2^{CUT_BUDGET_LOG2} cut-ranks")
+    p_ce.add_argument("--no-budget", action="store_true", help=f"run even above 2^{CUT_BUDGET_LOG2} stabilizer elements")
     p_ce.set_defaults(func=_cmd_ce)
 
     p_pur = sub.add_parser("purity", help="reduced-state purity of a subset or across a cut")

@@ -204,8 +204,8 @@ def neighborhood(graph: Graph, a: int) -> QubitSet:
     return QubitSet(graph.n, graph.adj[a])
 
 
-def _row_rank(rows: Iterable[int]) -> int:
-    """GF(2) rank of int bit rows: each row is reduced by the pivots on its leading bits."""
+def _eliminate(rows: Iterable[int]) -> dict[int, int]:
+    """GF(2) elimination of int bit rows: the pivot row for each leading bit; the rank is its size."""
     pivots: dict[int, int] = {}
     for row in rows:
         while row:
@@ -215,7 +215,7 @@ def _row_rank(rows: Iterable[int]) -> int:
                 pivots[top] = row
                 break
             row ^= pivot
-    return len(pivots)
+    return pivots
 
 
 def cut_rank(graph: Graph, a: int) -> int:
@@ -236,7 +236,7 @@ def cut_rank(graph: Graph, a: int) -> int:
         low = rest & -rest
         rows.append(adj[low.bit_length() - 1] & ~a)
         rest ^= low
-    return _row_rank(rows)
+    return len(_eliminate(rows))
 
 
 def is_connected(graph: Graph) -> bool:

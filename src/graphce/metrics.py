@@ -5,6 +5,7 @@ floating point enters this module.  The reduced-state purity across a cut is
 1/k with k the number of distinct post-trace-out generator sets, which equals
 2^r with r the GF(2) cut-rank of the bipartition (``graphs.cut_rank``); CE
 comes from one count of the stabilizer elements by weight (``_weights``).
+Both run the one GF(2) elimination, ``graphs._eliminate``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable
 
-from .graphs import Graph, QubitSet, cut_rank, is_connected, write_graph6
+from .graphs import Graph, QubitSet, _eliminate, cut_rank, is_connected, write_graph6
 
 
 class DisconnectedGraphWarning(UserWarning):
@@ -50,11 +51,6 @@ class DyadicRational:
     @classmethod
     def one(cls) -> DyadicRational:
         return cls(1)
-
-    @classmethod
-    def pow2(cls, r: int) -> DyadicRational:
-        """The value 2^-r for r >= 0."""
-        return cls(1, r)
 
     @staticmethod
     def _coerce(value) -> DyadicRational:
@@ -151,7 +147,7 @@ def purity(graph: Graph, b: QubitSet | Iterable[int]) -> DyadicRational:
     """Tr rho_B^2 = 2^-r, with r the cut-rank of (B, complement)."""
     b_set = _as_qubitset(graph.n, b)
     _check_connected(graph)
-    return DyadicRational.pow2(cut_rank(graph, b_set.members))
+    return DyadicRational(1, cut_rank(graph, b_set.members))
 
 
 def schmidt_rank(graph: Graph, b: QubitSet | Iterable[int]) -> int:
@@ -179,20 +175,7 @@ class PuritySpectrum:
 
     def purity_tally(self, m: int) -> list[tuple[DyadicRational, int]]:
         """(purity, count) pairs at level m, smallest purity first."""
-        return [(DyadicRational.pow2(r), c) for r, c in sorted(self.levels[m], reverse=True)]
-
-    def distinct_purity_count(self) -> int:
-        """Distinct purity values over all proper bipartitions (m >= 1)."""
-        ranks = {r for level in self.levels[1:] for r, _ in level}
-        return len(ranks)
-
-    def is_minimal_everywhere(self) -> bool:
-        """Every bipartition purity equals 2^-m (the AME condition)."""
-        return all(
-            all(r == m for r, _ in level)
-            for m, level in enumerate(self.levels)
-            if m >= 1
-        )
+        return [(DyadicRational(1, r), c) for r, c in sorted(self.levels[m], reverse=True)]
 
 
 def _level_rank_counts(graph: Graph, m: int) -> dict[int, int]:
@@ -250,26 +233,20 @@ def _weights(graph: Graph, s: int) -> list[int]:
     """N_w: the number of stabilizer elements of weight w supported inside the vertex mask s.
 
     The generator product over x has support x | Γx (Γx: the XOR of x's rows), inside s
-    exactly when x is in the kernel of the cut map from s to its complement.  Eliminating
-    the cut rows ``Γx & ~s`` from the unit vectors x of s leaves its |s| - cut_rank(s)
-    basis vectors as the rows that reduce to zero; a Gray-code walk visits their span.
+    exactly when x is in the kernel of the cut map from s to its complement.  Each unit
+    vector x of s packs one row (Γx & ~s, x, Γx) of n-bit fields; after one elimination,
+    the pivots whose cut field reduced to zero, the ones led by a bit below 2n, are the
+    |s| - cut_rank(s) kernel basis vectors, and a Gray-code walk visits their span.
     """
-    adj = graph.adj
-    pivots: dict[int, tuple[int, int]] = {}  # leading bit of the cut row -> (x, Γx)
-    basis = []
+    n, adj, full = graph.n, graph.adj, (1 << graph.n) - 1
+    rows = []
     rest = s
     while rest:
         x = rest & -rest
         rest ^= x
         gx = adj[x.bit_length() - 1]
-        while row := gx & ~s:
-            top = row.bit_length() - 1
-            if top not in pivots:
-                pivots[top] = (x, gx)
-                break
-            x, gx = x ^ pivots[top][0], gx ^ pivots[top][1]
-        else:
-            basis.append((x, gx))
+        rows.append(((gx & ~s) << 2 * n) | (x << n) | gx)
+    basis = [(p >> n & full, p & full) for top, p in _eliminate(rows).items() if top < 2 * n]
     counts = [1] + [0] * s.bit_count()
     x = gx = 0
     for i in range(1, 1 << len(basis)):

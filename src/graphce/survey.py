@@ -8,6 +8,11 @@ exactly once as a least-code graph on k - 1 vertices plus a last vertex, and
 the search that `canonical_form` runs, seeded with a candidate's own columns,
 tells whether it is least (Read 1978; McKay 1998).  No table of seen graphs
 is kept.
+
+A record's distinct purity count is the largest rank of a cut with n // 2
+vertices on one side: moving one vertex across a cut moves its rank by at most 1,
+and a smaller side can take one in without losing rank, so the proper cuts of a
+connected graph have the ranks 1..max, and the middle level holds max (Oum 2005).
 """
 
 from __future__ import annotations
@@ -23,12 +28,7 @@ from .graphs import (
     is_connected,
     write_graph6,
 )
-from .metrics import (
-    DyadicRational,
-    _ce,
-    ce_bounds,
-    purity_spectrum,
-)
+from .metrics import DyadicRational, _ce, _level_rank_counts, ce_bounds
 
 ENUMERATION_MAX_VERTICES = 8
 STRETCH_MIN_VERTICES = 7
@@ -89,7 +89,6 @@ def enumerate_connected(n: int, *, stretch: bool = False) -> list[Graph]:
 
 
 def _record(graph: Graph, *, kind: str | None = None, size: int | None = None) -> SurveyRecord:
-    spectrum = purity_spectrum(graph)
     ce = _ce(graph, (1 << graph.n) - 1)
     lo, hi = ce_bounds(graph.n)
     core_ce = _ce(graph, (1 << size) - 1) if kind == "snowflake" and size is not None else None
@@ -97,7 +96,7 @@ def _record(graph: Graph, *, kind: str | None = None, size: int | None = None) -
         graph6=write_graph6(graph),
         n=graph.n,
         ce=ce,
-        distinct_purities=spectrum.distinct_purity_count(),
+        distinct_purities=max(_level_rank_counts(graph, graph.n // 2)),
         achieves_min=ce == lo,
         achieves_max=ce == hi,
         kind=kind,
@@ -119,12 +118,13 @@ def distinct_ce_values(records: Iterable[SurveyRecord]) -> list[DyadicRational]:
 
 
 def max_achievers(n: int, *, stretch: bool = False) -> list[Graph]:
-    """Representatives whose every bipartition purity equals 2^-min(|A|,|B|)."""
-    achievers = []
-    for graph in enumerate_connected(n, stretch=stretch):
-        if purity_spectrum(graph).is_minimal_everywhere():
-            achievers.append(graph)
-    return achievers
+    """Representatives whose every bipartition purity equals 2^-min(|A|,|B|).
+
+    Each purity is at least that, and CE = 1 - 2^-n sum_A Tr rho_A^2, so these
+    are the classes whose full-set CE meets the upper bound of `ce_bounds`.
+    """
+    full, hi = (1 << n) - 1, ce_bounds(n)[1]
+    return [graph for graph in enumerate_connected(n, stretch=stretch) if _ce(graph, full) == hi]
 
 
 def family_sweep(kind: str, sizes: Iterable[int]) -> list[SurveyRecord]:

@@ -236,27 +236,40 @@ def test_work_budget_refuses_large_sweeps(command, capsys):
     code, text = invoke([command, "--family", "star", "--size", "40"])
     assert (code, text) == (2, "")
     err = capsys.readouterr().err
-    assert f"{command} would rank 2^39 cuts, over the budget of 2^22" in err
+    work = {"ce": "visit 2^40 stabilizer elements", "spectrum": "rank 2^39 cuts"}[command]
+    assert f"{command} would {work}, over the budget of 2^22" in err
     assert "--no-budget" in err
 
 
 def test_work_budget_allows_small_sweeps():
-    # the largest benchmark sweep: 2^15 cuts at n = 16
+    # the largest benchmark walk: 2^16 stabilizer elements at n = 16
     assert invoke(["ce", "--family", "star", "--size", "16"]) == (0, "32767/65536\n")
     assert invoke(["spectrum", "--family", "ring", "--size", "16", "--format", "csv"])[0] == 0
-    # a subset of s qubits costs 2^|s| cut-ranks however large the graph
+    # a subset of s qubits visits at most 2^|s| stabilizer elements however large the graph
     assert invoke(["ce", "--family", "star", "--size", "40", "--subset", "1,2"]) == (0, "3/8\n")
 
 
 def test_no_budget_opts_in(monkeypatch, capsys):
     monkeypatch.setattr("graphce.cli.CUT_BUDGET_LOG2", 4)
     assert invoke(["ce", "--family", "star", "--size", "6"])[0] == 2
-    assert "ce would rank 2^5 cuts, over the budget of 2^4" in capsys.readouterr().err
+    assert "ce would visit 2^6 stabilizer elements, over the budget of 2^4" in capsys.readouterr().err
     assert invoke(["ce", "--family", "star", "--size", "6", "--no-budget"]) == (0, "31/64\n")
     assert invoke(["ce", "--family", "star", "--size", "6", "--subset", "1,2,3,4"]) == (0, "15/32\n")
     assert invoke(["ce", "--family", "star", "--size", "6", "--subset", "1,2,3,4,5"])[0] == 2
     assert invoke(["spectrum", "--family", "star", "--size", "6"])[0] == 2
     assert invoke(["spectrum", "--family", "star", "--size", "6", "--no-budget"])[0] == 0
+
+
+def test_family_budget_counts_the_largest_member(monkeypatch, capsys):
+    monkeypatch.setattr("graphce.cli.CUT_BUDGET_LOG2", 4)
+    assert invoke(["family", "--kind", "star", "--from", "3", "--to", "4"])[0] == 0
+    assert invoke(["family", "--kind", "star", "--from", "3", "--to", "5"]) == (2, "")
+    assert invoke(["family", "--kind", "snowflake", "--from", "1", "--to", "2"])[0] == 0
+    assert invoke(["family", "--kind", "snowflake", "--from", "1", "--to", "3"]) == (2, "")
+    err = capsys.readouterr().err
+    assert "family would visit 2^5 stabilizer elements for star(5), over the budget of 2^4" in err
+    assert "family would visit 2^6 stabilizer elements for snowflake(3), over the budget of 2^4" in err
+    assert "--no-budget" not in err
 
 
 def run_python(args, memory_mb=None):
@@ -295,6 +308,14 @@ def test_rank_index_work_budget_refuses_large_sweeps():
         assert (done.returncode, done.stdout) == (2, "")
         assert f"rank-index would rank 2^{log2} cuts, over the budget of 2^22" in done.stderr
         assert "--no-budget" in done.stderr
+
+
+def test_family_work_budget_refuses_large_members():
+    # in a child process, so that a missing guard fails by timeout instead of hanging
+    done = run_module(["family", "--kind", "star", "--from", "30", "--to", "30"])
+    assert (done.returncode, done.stdout) == (2, "")
+    assert "family would visit 2^30 stabilizer elements for star(30), over the budget of 2^22" in done.stderr
+    assert "--no-budget" not in done.stderr
 
 
 def test_vertex_count_cap_is_a_usage_error(tmp_path):

@@ -6,6 +6,7 @@ from itertools import combinations
 
 import pytest
 
+from graphce import survey
 from graphce.graphs import QubitSet, family, from_edges, random_connected_graph
 from graphce.metrics import (
     DisconnectedGraphWarning,
@@ -205,7 +206,7 @@ def test_purity_spectrum_no13_tallies():
         (DyadicRational(1, 2), 4),
         (DyadicRational(1, 1), 2),
     ]
-    assert spectrum.distinct_purity_count() == 3
+    assert survey._record(NO13).distinct_purities == 3
 
 
 def test_purity_spectrum_counts_match_binomials():

@@ -12,12 +12,13 @@ from graphce.graphs import (
     Graph,
     Graph6Error,
     QubitSet,
-    _row_rank,
+    _eliminate,
     _transpose,
     cut_rank,
     family,
     from_edges,
     graph_to_mask,
+    is_connected,
     mask_to_graph,
     pair_count,
     parse_edge_list,
@@ -25,7 +26,7 @@ from graphce.graphs import (
     write_edge_list,
     write_graph6,
 )
-from graphce.metrics import DyadicRational, _ce, _sweep, _weights, ce_bounds
+from graphce.metrics import DyadicRational, _ce, _level_rank_counts, _sweep, _weights, ce_bounds
 from graphce.stabilizer import count_distinct_sets
 
 MAX_N = 10
@@ -57,7 +58,7 @@ def test_cut_rank_complement_symmetry(case):
     # the same symmetry without the kernel's choice of the smaller side
     rows_a = [g.adj[v] & b for v in range(g.n) if (a >> v) & 1]
     rows_b = [g.adj[v] & a for v in range(g.n) if (b >> v) & 1]
-    assert _row_rank(rows_a) == _row_rank(rows_b)
+    assert len(_eliminate(rows_a)) == len(_eliminate(rows_b))
 
 
 @settings(max_examples=200, deadline=None)
@@ -97,6 +98,7 @@ def test_ce_walk_matches_fraction_sum_of_cut_rank_purities(case):
     subsets = [sum(1 << v for i, v in enumerate(members) if (sub >> i) & 1) for sub in range(1 << len(members))]
     purity_sum = sum(Fraction(1, 1 << cut_rank(g, a)) for a in subsets)
     assert _ce(g, s).as_fraction() == 1 - purity_sum / (1 << len(members))
+    assert sum(_weights(g, s)) == 1 << (len(members) - cut_rank(g, s))  # the kernel of the cut map
 
 
 @settings(max_examples=150, deadline=None)
@@ -108,6 +110,15 @@ def test_sweep_levels_match_weight_counts(g):
     for m, level in enumerate(_sweep(g).levels):
         tally = sum(c << (m - r) for r, c in level) * (2 if 2 * m == n else 1)
         assert tally == sum(c * math.comb(n - w, m - w) for w, c in enumerate(weights[:m + 1]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(walk_graphs)
+def test_proper_cut_ranks_are_one_to_the_middle_level_max(g):
+    # survey records print max(level n // 2) as the number of distinct purities
+    assume(is_connected(g))
+    ranks = {r for level in _sweep(g).levels[1:] for r, _ in level}
+    assert ranks == set(range(1, max(_level_rank_counts(g, g.n // 2)) + 1))
 
 
 def test_ce_bounds_match_fraction_sums():

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from graphce.graphs import QubitSet, _row_rank, cut_rank, family, from_edges, random_connected_graph
+from graphce.graphs import QubitSet, _eliminate, cut_rank, family, from_edges, random_connected_graph
 from graphce.stabilizer import (
     GF2Vector,
     OutcomeBitstring,
@@ -178,7 +178,7 @@ def test_generators_commute_and_are_independent():
             for j in range(i + 1, len(gens)):
                 assert gens[i].commutes_with(gens[j])
         stacked = [gen.x_bits.bits | (gen.z_bits.bits << g.n) for gen in gens]
-        assert _row_rank(stacked) == len(gens)
+        assert len(_eliminate(stacked)) == len(gens)
 
 
 def test_count_distinct_sets_no13():

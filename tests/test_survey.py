@@ -16,7 +16,13 @@ from graphce.graphs import (
     random_connected_graph,
     write_graph6,
 )
-from graphce.metrics import DyadicRational, ce_bounds, concentratable_entanglement, snowflake_subset_ce
+from graphce.metrics import (
+    DyadicRational,
+    ce_bounds,
+    concentratable_entanglement,
+    purity_spectrum,
+    snowflake_subset_ce,
+)
 from graphce.survey import (
     ce_survey,
     distinct_ce_values,
@@ -127,10 +133,14 @@ def test_max_achievers_k2_and_ring5():
 
 
 def test_max_achievers_match_records():
-    for n in range(2, 7):
-        from_records = {r.graph6 for r in ce_survey(n) if r.achieves_max}
-        from_spectra = {write_graph6(g) for g in max_achievers(n)}
-        assert from_records == from_spectra
+    # the spectrum test, written out: every cut whose smaller side has m vertices has rank m
+    for n in range(2, 8):
+        stretch = n >= 7
+        from_records = {r.graph6 for r in ce_survey(n, stretch=stretch) if r.achieves_max}
+        from_achievers = {write_graph6(g) for g in max_achievers(n, stretch=stretch)}
+        from_spectra = {write_graph6(g) for g in enumerate_connected(n, stretch=stretch)
+                        if all(r == m for m, level in enumerate(purity_spectrum(g).levels) for r, _ in level)}
+        assert from_records == from_achievers == from_spectra
 
 
 def test_family_sweep_star_minimum():
