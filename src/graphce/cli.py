@@ -2,7 +2,8 @@
 
 Qubit labels on the command line and in files are 1-indexed.  Rational
 results print as reduced fractions like "21/32"; --decimal switches to the
-exact terminating decimal expansion.
+exact terminating decimal expansion.  This is the only module that knows an
+output format: csv, json-lines and padded tables all come from `_emit_rows`.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .graphs import (
 from .metrics import (
     DyadicRational,
     ce_report,
+    concentratable_entanglement,
     purity,
     purity_spectrum,
     rank_index,
@@ -111,12 +113,48 @@ def _labels_1idx(members) -> str:
     return ",".join(str(q + 1) for q in members)
 
 
+SURVEY_FIELDS = ("graph6", "n", "ce_num", "ce_log2_den", "achieves_min", "achieves_max", "distinct_purities")
+FAMILY_FIELDS = ("family", "size") + SURVEY_FIELDS + ("core_ce_num", "core_ce_log2_den")
+SURVEY_TABLE_FIELDS = ("graph6", "ce", "distinct_purities", "achieves_min", "achieves_max")
+
+
+def _record_row(rec: survey.SurveyRecord, fields: Sequence[str], decimal: bool) -> dict[str, object]:
+    """The named fields of a survey or family record, in the order given."""
+    core = rec.core_subset_ce
+    row = {
+        "family": rec.kind,
+        "size": rec.size,
+        "graph6": rec.graph6,
+        "n": rec.n,
+        "ce": _fmt(rec.ce, decimal),
+        "ce_num": rec.ce.numerator,
+        "ce_log2_den": rec.ce.log2_denominator,
+        "achieves_min": rec.achieves_min,
+        "achieves_max": rec.achieves_max,
+        "distinct_purities": rec.distinct_purities,
+        "core_ce_num": "" if core is None else core.numerator,
+        "core_ce_log2_den": "" if core is None else core.log2_denominator,
+    }
+    return {f: row[f] for f in fields}
+
+
+def _csv_cell(value: object) -> str:
+    """One CSV cell: booleans as true/false, text quoted when it holds a comma or a quote."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    text = str(value)
+    if "," in text or '"' in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _emit_rows(fields: Sequence[str], rows: list[dict[str, object]], fmt: str, out) -> None:
+    """Write rows, each keyed by `fields` in order, as csv (with a header), json-lines or a padded table."""
     if fmt == "csv":
-        out.write(survey.csv_text(fields, rows))
+        lines = [fields, *(row.values() for row in rows)]
+        out.write("".join(",".join(map(_csv_cell, cells)) + "\n" for cells in lines))
     elif fmt == "json-lines":
-        for row in rows:
-            out.write(json.dumps(row) + "\n")
+        out.write("".join(json.dumps(row) + "\n" for row in rows))
     else:
         widths = [max(len(f), *(len(str(row[f])) for row in rows)) if rows else len(f) for f in fields]
         out.write("  ".join(f.ljust(w) for f, w in zip(fields, widths)) + "\n")
@@ -128,10 +166,10 @@ def _cmd_ce(args: argparse.Namespace, out) -> int:
     graph = _load_graph(args)
     subset = _parse_labels(args.subset, graph.n) if args.subset else None
     _check_budget(args, len(subset) if subset else graph.n, _VISIT)
-    report = ce_report(graph, subset)
-    if args.format == "plain":
-        out.write(_fmt(report.ce, args.decimal) + "\n")
+    if args.format == "plain":  # the other formats carry graph6, which caps n at 62
+        out.write(_fmt(concentratable_entanglement(graph, subset or range(graph.n)), args.decimal) + "\n")
         return 0
+    report = ce_report(graph, subset)
     row = {
         "graph6": report.graph6,
         "n": report.n,
@@ -206,23 +244,9 @@ def _cmd_spectrum(args: argparse.Namespace, out) -> int:
 
 def _cmd_survey(args: argparse.Namespace, out) -> int:
     records = survey.ce_survey(args.n, stretch=args.stretch)
-    if args.format == "csv":
-        out.write(survey.survey_csv(records))
-    elif args.format == "json-lines":
-        for rec in sorted(records, key=lambda r: (r.n, r.ce, r.graph6)):
-            out.write(json.dumps(survey.survey_row(rec)) + "\n")
-    else:
-        rows = [
-            {
-                "graph6": rec.graph6,
-                "ce": _fmt(rec.ce, args.decimal),
-                "distinct_purities": rec.distinct_purities,
-                "achieves_min": rec.achieves_min,
-                "achieves_max": rec.achieves_max,
-            }
-            for rec in records
-        ]
-        _emit_rows(["graph6", "ce", "distinct_purities", "achieves_min", "achieves_max"], rows, "table", out)
+    fields = SURVEY_TABLE_FIELDS if args.format == "table" else SURVEY_FIELDS
+    _emit_rows(fields, [_record_row(rec, fields, args.decimal) for rec in records], args.format, out)
+    if args.format == "table":
         values = survey.distinct_ce_values(records)
         out.write(f"classes: {len(records)}\n")
         out.write(f"distinct CE values: {len(values)}\n")
@@ -235,17 +259,14 @@ def _cmd_family(args: argparse.Namespace, out) -> int:
     largest = 2 * args.end if args.kind == "snowflake" else args.end
     _check_budget(args, largest, _VISIT + f" for {args.kind}({args.end})")
     records = survey.family_sweep(args.kind, range(args.start, args.end + 1))
-    if args.format == "csv":
-        out.write(survey.family_csv(records))
-    elif args.format == "json-lines":
-        for rec in records:
-            out.write(json.dumps(survey.family_row(rec)) + "\n")
-    else:
-        for rec in records:
-            line = f"{rec.kind}({rec.size}): n={rec.n} CE={_fmt(rec.ce, args.decimal)}"
-            if rec.core_subset_ce is not None:
-                line += f" core-subset CE={_fmt(rec.core_subset_ce, args.decimal)}"
-            out.write(line + "\n")
+    if args.format != "table":
+        _emit_rows(FAMILY_FIELDS, [_record_row(rec, FAMILY_FIELDS, args.decimal) for rec in records], args.format, out)
+        return 0
+    for rec in records:
+        line = f"{rec.kind}({rec.size}): n={rec.n} CE={_fmt(rec.ce, args.decimal)}"
+        if rec.core_subset_ce is not None:
+            line += f" core-subset CE={_fmt(rec.core_subset_ce, args.decimal)}"
+        out.write(line + "\n")
     return 0
 
 

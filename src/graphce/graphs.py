@@ -425,15 +425,15 @@ def _least_code(adj: Sequence[int], best: list[int], stop: bool, depth: int = 0,
     return False
 
 
-def canonical_form(graph: Graph, max_vertices: int = CANONICAL_MAX_VERTICES) -> bytes:
+def canonical_form(graph: Graph) -> bytes:
     """Canonical byte key: equal for two graphs iff they are isomorphic.
 
     The key encodes the least upper-triangle edge mask over all vertex
     orders, found by one `_least_code` search from an unset column sequence.
     """
     n = graph.n
-    if n > max_vertices:
-        raise ValueError(f"canonical_form limited to n <= {max_vertices}, got {n}")
+    if n > CANONICAL_MAX_VERTICES:
+        raise ValueError(f"canonical_form limited to n <= {CANONICAL_MAX_VERTICES}, got {n}")
     if n <= 1:
         return bytes([n])
     best = [1 << n] * n

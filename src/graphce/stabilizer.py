@@ -238,21 +238,21 @@ def _support_columns(graph: Graph, a_set: QubitSet) -> list[int]:
     return cols
 
 
-def count_distinct_sets(graph: Graph, a_set: QubitSet, threshold: int = ENUMERATION_MAX_QUBITS) -> int:
+def count_distinct_sets(graph: Graph, a_set: QubitSet) -> int:
     """Number of distinct generator sets over all 2^|A| outcomes, by enumeration.
 
     Distinctness is decided by the sign patterns alone, i.e. by the distinct
     values of the outcome unitary's Z-support.  Raises when |A| exceeds the
     enumeration threshold; use count_distinct_sets_fast there instead.
     """
-    return len(support_multiplicities(graph, a_set, threshold))
+    return len(support_multiplicities(graph, a_set))
 
 
-def support_multiplicities(graph: Graph, a_set: QubitSet, threshold: int = ENUMERATION_MAX_QUBITS) -> dict[int, int]:
+def support_multiplicities(graph: Graph, a_set: QubitSet) -> dict[int, int]:
     """Occurrence count of each distinct support value over all 2^|A| outcomes."""
     k = len(a_set)
-    if k > threshold:
-        raise ValueError(f"|A| = {k} exceeds enumeration threshold {threshold}; use count_distinct_sets_fast")
+    if k > ENUMERATION_MAX_QUBITS:
+        raise ValueError(f"|A| = {k} exceeds enumeration threshold {ENUMERATION_MAX_QUBITS}; use count_distinct_sets_fast")
     cols = _support_columns(graph, a_set)
     counts: dict[int, int] = {0: 1}
     cur = 0

@@ -13,6 +13,8 @@ A record's distinct purity count is the largest rank of a cut with n // 2
 vertices on one side: moving one vertex across a cut moves its rank by at most 1,
 and a smaller side can take one in without losing rank, so the proper cuts of a
 connected graph have the ranks 1..max, and the middle level holds max (Oum 2005).
+
+Surveys and family sweeps return `SurveyRecord` values; `cli` writes them out.
 """
 
 from __future__ import annotations
@@ -133,54 +135,3 @@ def family_sweep(kind: str, sizes: Iterable[int]) -> list[SurveyRecord]:
     for size in sizes:
         records.append(_record(family(kind, size), kind=kind, size=size))
     return records
-
-
-SURVEY_CSV_FIELDS = ("graph6", "n", "ce_num", "ce_log2_den", "achieves_min", "achieves_max", "distinct_purities")
-FAMILY_CSV_FIELDS = ("family", "size") + SURVEY_CSV_FIELDS + ("core_ce_num", "core_ce_log2_den")
-
-
-def _csv_cell(value: object) -> str:
-    """One CSV cell: booleans as true/false, text quoted when it holds a comma or a quote."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    text = str(value)
-    if "," in text or '"' in text:
-        return '"' + text.replace('"', '""') + '"'
-    return text
-
-
-def csv_text(fields: Iterable[str], rows: Iterable[dict[str, object]]) -> str:
-    """A header line, then one line per row of cells in the row's key order."""
-    lines = [",".join(fields)]
-    lines += [",".join(_csv_cell(v) for v in row.values()) for row in rows]
-    return "\n".join(lines) + "\n"
-
-
-def survey_row(record: SurveyRecord) -> dict[str, object]:
-    return {
-        "graph6": record.graph6,
-        "n": record.n,
-        "ce_num": record.ce.numerator,
-        "ce_log2_den": record.ce.log2_denominator,
-        "achieves_min": record.achieves_min,
-        "achieves_max": record.achieves_max,
-        "distinct_purities": record.distinct_purities,
-    }
-
-
-def family_row(record: SurveyRecord) -> dict[str, object]:
-    row: dict[str, object] = {"family": record.kind, "size": record.size}
-    row.update(survey_row(record))
-    row["core_ce_num"] = record.core_subset_ce.numerator if record.core_subset_ce is not None else ""
-    row["core_ce_log2_den"] = record.core_subset_ce.log2_denominator if record.core_subset_ce is not None else ""
-    return row
-
-
-def survey_csv(records: Iterable[SurveyRecord]) -> str:
-    """Deterministic CSV, one row per class, sorted by (n, CE, graph6)."""
-    ordered = sorted(records, key=lambda r: (r.n, r.ce, r.graph6))
-    return csv_text(SURVEY_CSV_FIELDS, (survey_row(rec) for rec in ordered))
-
-
-def family_csv(records: Iterable[SurveyRecord]) -> str:
-    return csv_text(FAMILY_CSV_FIELDS, (family_row(rec) for rec in records))

@@ -42,6 +42,15 @@ def test_ce_subset_and_graph6(no13_path):
     assert (code, text) == (0, "21/32\n")
 
 
+def test_plain_ce_needs_no_graph6(capsys):
+    code, text = invoke(["ce", "--family", "ring", "--size", "63", "--subset", "1,2"])
+    assert (code, text) == (0, "7/16\n")
+    for fmt in ("table", "csv", "json-lines"):
+        code, text = invoke(["ce", "--family", "ring", "--size", "63", "--subset", "1,2", "--format", fmt])
+        assert (code, text) == (2, "")
+        assert "graph6 short form supports n <= 62, got 63" in capsys.readouterr().err
+
+
 def test_ce_table_format(no13_path):
     code, text = invoke(["ce", "--edges", no13_path, "--format", "table"])
     assert code == 0
@@ -128,7 +137,13 @@ def test_survey_table_footer():
     (["survey", "--n", "6"], "11fee796a6c3a1b834a8d9f4abd707ab01d7a3e8c777be1f491cec5a02c8a02a"),
     (["survey", "--n", "7", "--stretch", "--format", "csv"],
      "baad7f31317b89b0351d90ab1a4bc4a694a982fdbb6a22609b2b838bea93c257"),
-], ids=["n6-table", "n7-csv"])
+    (["survey", "--n", "6", "--format", "json-lines"],
+     "b1428776f53bdb59fa3f7b1c71391a0f41a6d19ff16cf08ca796bdd68d47ccda"),
+    (["family", "--kind", "snowflake", "--from", "1", "--to", "5", "--format", "json-lines"],
+     "e1f0a918231a25387a56647aa9d629b3efb0d724676da406ececfddd871df908"),
+    (["family", "--kind", "snowflake", "--from", "1", "--to", "5", "--format", "csv"],
+     "0eab6cc0d7bdd4791bab13012bfaeccb2f58ff9054dd5c10590a62f39ecac35b"),
+], ids=["n6-table", "n7-csv", "n6-json-lines", "snowflake-json-lines", "snowflake-csv"])
 def test_survey_stdout_golden(argv, digest):
     import hashlib
 

@@ -5,6 +5,7 @@ from collections import Counter
 
 import pytest
 
+from graphce import stabilizer
 from graphce.graphs import QubitSet, _eliminate, cut_rank, family, from_edges, random_connected_graph
 from graphce.stabilizer import (
     GF2Vector,
@@ -194,10 +195,11 @@ def test_count_distinct_sets_single_vertex():
         assert count_distinct_sets(g, a) == 2
 
 
-def test_count_distinct_sets_threshold():
+def test_count_distinct_sets_threshold(monkeypatch):
+    monkeypatch.setattr(stabilizer, "ENUMERATION_MAX_QUBITS", 2)
     g = family("complete", 4)
     with pytest.raises(ValueError, match="threshold"):
-        count_distinct_sets(g, qs(4, [0, 1, 2]), threshold=2)
+        count_distinct_sets(g, qs(4, [0, 1, 2]))
 
 
 def test_count_distinct_sets_fast_cases():

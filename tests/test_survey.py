@@ -1,10 +1,12 @@
 """Tests for isomorph-free enumeration and the CE survey machinery."""
 
+import io
 import random
 from itertools import permutations
 
 import pytest
 
+from graphce.cli import run
 from graphce.graphs import (
     canonical_form,
     family,
@@ -27,10 +29,8 @@ from graphce.survey import (
     ce_survey,
     distinct_ce_values,
     enumerate_connected,
-    family_csv,
     family_sweep,
     max_achievers,
-    survey_csv,
 )
 
 # one representative per class of connected graphs on 1..8 vertices (OEIS-style counts)
@@ -172,9 +172,15 @@ def test_ce_is_isomorphism_invariant():
         assert concentratable_entanglement(g, range(g.n)) == concentratable_entanglement(h, range(h.n))
 
 
+def cli_stdout(argv):
+    out = io.StringIO()
+    assert run(argv, out=out) == 0
+    return out.getvalue()
+
+
 def test_survey_csv_deterministic():
-    a = survey_csv(ce_survey(5))
-    b = survey_csv(ce_survey(5))
+    a = cli_stdout(["survey", "--n", "5", "--format", "csv"])
+    b = cli_stdout(["survey", "--n", "5", "--format", "csv"])
     assert a == b
     header = a.splitlines()[0]
     assert header == "graph6,n,ce_num,ce_log2_den,achieves_min,achieves_max,distinct_purities"
@@ -182,7 +188,7 @@ def test_survey_csv_deterministic():
 
 
 def test_family_csv_shape():
-    text = family_csv(family_sweep("star", range(3, 10)))
+    text = cli_stdout(["family", "--kind", "star", "--from", "3", "--to", "9", "--format", "csv"])
     lines = text.splitlines()
     assert len(lines) == 8
     assert lines[0].startswith("family,size,graph6,")
