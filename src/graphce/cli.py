@@ -38,8 +38,10 @@ from .metrics import (
 
 USAGE_ERROR = 2
 VERIFY_FAILURE = 1
-CUT_BUDGET_LOG2 = 22
-_VISIT = "visit 2^{} stabilizer elements"  # the CE walk of ce and of each family record
+CUT_BUDGET_LOG2 = 22  # cut-ranks: spectrum, rank-index and the middle level of family records
+CE_BUDGET_LOG2 = 26  # stabilizer elements counted by the CE kernel: ce and family
+_RANK = "rank 2^{} cuts"
+_VISIT = "visit 2^{} stabilizer elements"
 
 
 class UsageError(ValueError):
@@ -98,11 +100,11 @@ def _parse_cut(text: str, n: int) -> QubitSet:
     return b_set
 
 
-def _check_budget(args: argparse.Namespace, log2: int, work: str = "rank 2^{} cuts") -> None:
-    """Exit 2, before any work, if `work`, with log2 put in its "{}", is over the budget."""
-    if log2 > CUT_BUDGET_LOG2 and not getattr(args, "no_budget", False):
+def _check_budget(args: argparse.Namespace, log2: int, budget_log2: int, work: str) -> None:
+    """Exit 2, before any work, if `work`, with log2 put in its "{}", is over 2^budget_log2."""
+    if log2 > budget_log2 and not getattr(args, "no_budget", False):
         hint = "; pass --no-budget to run it anyway" if "no_budget" in args else ""
-        raise UsageError(f"{args.command} would {work.format(log2)}, over the budget of 2^{CUT_BUDGET_LOG2}{hint}")
+        raise UsageError(f"{args.command} would {work.format(log2)}, over the budget of 2^{budget_log2}{hint}")
 
 
 def _fmt(value: DyadicRational, decimal: bool) -> str:
@@ -165,7 +167,7 @@ def _emit_rows(fields: Sequence[str], rows: list[dict[str, object]], fmt: str, o
 def _cmd_ce(args: argparse.Namespace, out) -> int:
     graph = _load_graph(args)
     subset = _parse_labels(args.subset, graph.n) if args.subset else None
-    _check_budget(args, len(subset) if subset else graph.n, _VISIT)
+    _check_budget(args, len(subset) if subset else graph.n, CE_BUDGET_LOG2, _VISIT)
     if args.format == "plain":  # the other formats carry graph6, which caps n at 62
         out.write(_fmt(concentratable_entanglement(graph, subset or range(graph.n)), args.decimal) + "\n")
         return 0
@@ -205,7 +207,8 @@ def _cmd_rank_index(args: argparse.Namespace, out) -> int:
     half = graph.n // 2
     if args.m is not None and not 1 <= args.m <= half:
         raise UsageError(f"--m must be in 1..{half} for this graph")
-    _check_budget(args, graph.n - 1 if args.m is None else (math.comb(graph.n, args.m) - 1).bit_length())
+    _check_budget(args, graph.n - 1 if args.m is None else (math.comb(graph.n, args.m) - 1).bit_length(),
+                  CUT_BUDGET_LOG2, _RANK)
     ms = [args.m] if args.m is not None else list(range(1, half + 1))
     if args.format == "csv":
         rows = []
@@ -222,7 +225,7 @@ def _cmd_rank_index(args: argparse.Namespace, out) -> int:
 
 def _cmd_spectrum(args: argparse.Namespace, out) -> int:
     graph = _load_graph(args)
-    _check_budget(args, graph.n - 1)
+    _check_budget(args, graph.n - 1, CUT_BUDGET_LOG2, _RANK)
     spectrum = purity_spectrum(graph)
     if args.format == "csv":
         rows = []
@@ -257,7 +260,11 @@ def _cmd_family(args: argparse.Namespace, out) -> int:
     if args.start < 1 or args.end < args.start:
         raise UsageError("--from/--to must satisfy 1 <= from <= to")
     largest = 2 * args.end if args.kind == "snowflake" else args.end
-    _check_budget(args, largest, _VISIT + f" for {args.kind}({args.end})")
+    member = f" for {args.kind}({args.end})"
+    _check_budget(args, largest, CE_BUDGET_LOG2, _VISIT + member)
+    # each record also ranks the middle-level cuts, each unordered bipartition once
+    middle = math.comb(largest, largest // 2) // (2 if largest % 2 == 0 else 1)
+    _check_budget(args, (middle - 1).bit_length(), CUT_BUDGET_LOG2, _RANK + member)
     records = survey.family_sweep(args.kind, range(args.start, args.end + 1))
     if args.format != "table":
         _emit_rows(FAMILY_FIELDS, [_record_row(rec, FAMILY_FIELDS, args.decimal) for rec in records], args.format, out)
@@ -342,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ce.add_argument("--subset", metavar="LABELS", help="1-indexed labels, e.g. \"1,3,5\"")
     p_ce.add_argument("--format", choices=("plain", "table", "csv", "json-lines"), default="plain")
     p_ce.add_argument("--decimal", action="store_true", help="print exact decimals instead of fractions")
-    p_ce.add_argument("--no-budget", action="store_true", help=f"run even above 2^{CUT_BUDGET_LOG2} stabilizer elements")
+    p_ce.add_argument("--no-budget", action="store_true", help=f"run even above 2^{CE_BUDGET_LOG2} stabilizer elements")
     p_ce.set_defaults(func=_cmd_ce)
 
     p_pur = sub.add_parser("purity", help="reduced-state purity of a subset or across a cut")

@@ -5,7 +5,9 @@ floating point enters this module.  The reduced-state purity across a cut is
 1/k with k the number of distinct post-trace-out generator sets, which equals
 2^r with r the GF(2) cut-rank of the bipartition (``graphs.cut_rank``); CE
 comes from one count of the stabilizer elements by weight (``_weights``).
-Both run the one GF(2) elimination, ``graphs._eliminate``.
+Both run the one GF(2) elimination, ``graphs._eliminate``.  The weight count
+is bit-sliced: one Python int holds one bit per stabilizer element, for up
+to 2^20 elements at a time, and a bit-sliced counter tallies their weights.
 """
 
 from __future__ import annotations
@@ -229,6 +231,72 @@ def rank_index(graph: Graph, m: int) -> RankIndex:
     return RankIndex(m, tuple(counts.get(r, 0) for r in range(m, 0, -1)))
 
 
+_CHUNK_LOG2 = 20  # at most 2^20 lanes, a 128 KB int, per bit-sliced word
+
+
+def _lane_patterns(c: int) -> list[int]:
+    """P_b for b < c over 2^c lanes: bit j of P_b is bit b of j.
+
+    P_(c-1) sets the upper half of the lanes.  Adding 2^b to j flips bit b + 1
+    exactly when bit b is set, so P_b = P_(b+1) ^ (P_(b+1) >> 2^b); the zeros
+    shifted in at the top are right too, since bits b..c-1 of those j are all
+    set.  One shift and one XOR per pattern keeps the cost linear in the lane
+    count, where big-int division would be quadratic.
+    """
+    if not c:
+        return []
+    half = 1 << (c - 1)
+    p = ((1 << half) - 1) << half
+    patterns = [p]
+    while half > 1:
+        half >>= 1
+        p ^= p >> half
+        patterns.append(p)
+    return patterns[::-1]
+
+
+def _add_columns(columns: Iterable[int]) -> list[int]:
+    """Bit-sliced ripple-carry sum of 0/1 lane columns.
+
+    Bit j of counter[t] is bit t of the number of columns that have bit j set.
+    """
+    counter: list[int] = []
+    for carry in columns:
+        t = 0
+        while carry:
+            if t == len(counter):
+                counter.append(carry)
+                break
+            bit = counter[t]
+            counter[t] = bit ^ carry
+            carry &= bit
+            t += 1
+    return counter
+
+
+def _split_counts(counter: list[int], lanes: int) -> list[int]:
+    """For each value v < 2^len(counter), how many lanes of the mask `lanes` hold the count v.
+
+    The lanes are split top down on the counter bits, so that the groups end in value order.
+    """
+    groups = [lanes]
+    for bit in reversed(counter):
+        split = []
+        for group in groups:
+            high = group & bit
+            split += (group ^ high, high)
+        groups = split
+    return [group.bit_count() for group in groups]
+
+
+def _flip(cols: dict[int, int], mask: int, pattern: int) -> None:
+    """XOR `pattern` into the column of every vertex in `mask`."""
+    while mask:
+        low = mask & -mask
+        cols[low.bit_length() - 1] ^= pattern
+        mask ^= low
+
+
 def _weights(graph: Graph, s: int) -> list[int]:
     """N_w: the number of stabilizer elements of weight w supported inside the vertex mask s.
 
@@ -236,24 +304,44 @@ def _weights(graph: Graph, s: int) -> list[int]:
     exactly when x is in the kernel of the cut map from s to its complement.  Each unit
     vector x of s packs one row (Γx & ~s, x, Γx) of n-bit fields; after one elimination,
     the pivots whose cut field reduced to zero, the ones led by a bit below 2n, are the
-    |s| - cut_rank(s) kernel basis vectors, and a Gray-code walk visits their span.
+    k = |s| - cut_rank(s) kernel basis vectors.
+
+    The count is bit-sliced: one int holds 2^c lanes, c = min(k, _CHUNK_LOG2), and lane j
+    is the XOR of the first c basis pairs chosen by the bits of j.  Qubit v's support
+    column, the lanes whose element acts on v, is X_v | G_v, where X_v (G_v) is the XOR of
+    the lane patterns P_b over the b whose x (Γx) has bit v set.  A ripple-carry counter
+    adds the |s| columns, and splitting the lanes on its bits reads off every N_w.  The
+    other k - c basis pairs are walked in Gray-code order, one chunk of 2^c lanes per
+    step; a step XORs one pair into every lane, which complements X_v for each v in its x
+    and G_v for each v in its Γx.
     """
     n, adj, full = graph.n, graph.adj, (1 << graph.n) - 1
-    rows = []
+    rows, xcols = [], {}  # xcols, gcols: X_v and G_v per vertex v of s
     rest = s
     while rest:
         x = rest & -rest
         rest ^= x
-        gx = adj[x.bit_length() - 1]
+        v = x.bit_length() - 1
+        xcols[v] = 0
+        gx = adj[v]
         rows.append(((gx & ~s) << 2 * n) | (x << n) | gx)
     basis = [(p >> n & full, p & full) for top, p in _eliminate(rows).items() if top < 2 * n]
-    counts = [1] + [0] * s.bit_count()
-    x = gx = 0
-    for i in range(1, 1 << len(basis)):
-        bx, bgx = basis[(i & -i).bit_length() - 1]
-        x ^= bx
-        gx ^= bgx
-        counts[(x | gx).bit_count()] += 1
+    c = min(len(basis), _CHUNK_LOG2)
+    lanes = (1 << (1 << c)) - 1
+    gcols = dict(xcols)
+    for (x, gx), p in zip(basis, _lane_patterns(c)):
+        _flip(xcols, x, p)
+        _flip(gcols, gx, p)
+    walked = basis[c:]
+    counts = [0] * (len(xcols) + 1)
+    for step in range(1 << len(walked)):
+        if step:
+            x, gx = walked[(step & -step).bit_length() - 1]
+            _flip(xcols, x, lanes)
+            _flip(gcols, gx, lanes)
+        counter = _add_columns(map(int.__or__, xcols.values(), gcols.values()))
+        for w, tally in enumerate(_split_counts(counter, lanes)[:len(counts)]):  # no lane counts above |s|
+            counts[w] += tally
     return counts
 
 

@@ -251,8 +251,8 @@ def test_work_budget_refuses_large_sweeps(command, capsys):
     code, text = invoke([command, "--family", "star", "--size", "40"])
     assert (code, text) == (2, "")
     err = capsys.readouterr().err
-    work = {"ce": "visit 2^40 stabilizer elements", "spectrum": "rank 2^39 cuts"}[command]
-    assert f"{command} would {work}, over the budget of 2^22" in err
+    work, budget = {"ce": ("visit 2^40 stabilizer elements", 26), "spectrum": ("rank 2^39 cuts", 22)}[command]
+    assert f"{command} would {work}, over the budget of 2^{budget}" in err
     assert "--no-budget" in err
 
 
@@ -265,6 +265,7 @@ def test_work_budget_allows_small_sweeps():
 
 
 def test_no_budget_opts_in(monkeypatch, capsys):
+    monkeypatch.setattr("graphce.cli.CE_BUDGET_LOG2", 4)
     monkeypatch.setattr("graphce.cli.CUT_BUDGET_LOG2", 4)
     assert invoke(["ce", "--family", "star", "--size", "6"])[0] == 2
     assert "ce would visit 2^6 stabilizer elements, over the budget of 2^4" in capsys.readouterr().err
@@ -275,8 +276,18 @@ def test_no_budget_opts_in(monkeypatch, capsys):
     assert invoke(["spectrum", "--family", "star", "--size", "6", "--no-budget"])[0] == 0
 
 
+@pytest.mark.parametrize("family, size, ce", [
+    ("ring", 21, "2072675/2097152"),
+    ("ring", 24, "16673533/16777216"),
+    ("linear", 24, "16655823/16777216"),
+])
+def test_ce_goldens_across_the_chunk_boundary(family, size, ce):
+    # more than 2^20 stabilizer elements: the CE kernel walks 2^(n - 20) chunks, within the budget
+    assert invoke(["ce", "--family", family, "--size", str(size)]) == (0, ce + "\n")
+
+
 def test_family_budget_counts_the_largest_member(monkeypatch, capsys):
-    monkeypatch.setattr("graphce.cli.CUT_BUDGET_LOG2", 4)
+    monkeypatch.setattr("graphce.cli.CE_BUDGET_LOG2", 4)
     assert invoke(["family", "--kind", "star", "--from", "3", "--to", "4"])[0] == 0
     assert invoke(["family", "--kind", "star", "--from", "3", "--to", "5"]) == (2, "")
     assert invoke(["family", "--kind", "snowflake", "--from", "1", "--to", "2"])[0] == 0
@@ -329,8 +340,19 @@ def test_family_work_budget_refuses_large_members():
     # in a child process, so that a missing guard fails by timeout instead of hanging
     done = run_module(["family", "--kind", "star", "--from", "30", "--to", "30"])
     assert (done.returncode, done.stdout) == (2, "")
-    assert "family would visit 2^30 stabilizer elements for star(30), over the budget of 2^22" in done.stderr
+    assert "family would visit 2^30 stabilizer elements for star(30), over the budget of 2^26" in done.stderr
     assert "--no-budget" not in done.stderr
+
+
+def test_family_budget_counts_the_middle_level_cuts(monkeypatch, capsys):
+    # each record ranks its middle level: C(4, 2) / 2 = 3, C(5, 2) = 10 and C(6, 3) / 2 = 10 cuts
+    monkeypatch.setattr("graphce.cli.CUT_BUDGET_LOG2", 3)
+    assert invoke(["family", "--kind", "star", "--from", "3", "--to", "4"])[0] == 0
+    assert invoke(["family", "--kind", "star", "--from", "3", "--to", "5"]) == (2, "")
+    assert invoke(["family", "--kind", "snowflake", "--from", "1", "--to", "3"]) == (2, "")
+    err = capsys.readouterr().err
+    assert "family would rank 2^4 cuts for star(5), over the budget of 2^3" in err
+    assert "family would rank 2^4 cuts for snowflake(3), over the budget of 2^3" in err
 
 
 def test_vertex_count_cap_is_a_usage_error(tmp_path):

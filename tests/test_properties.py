@@ -1,5 +1,6 @@
 """Property tests: cut-rank against the enumeration oracle, DyadicRational and CE sums against Fraction,
-and the bitset graph readers and writers against pair-by-pair reference loops."""
+stabilizer weight counts against brute-force enumeration, and the bitset graph readers and writers
+against pair-by-pair reference loops."""
 
 import math
 from fractions import Fraction
@@ -26,7 +27,8 @@ from graphce.graphs import (
     write_edge_list,
     write_graph6,
 )
-from graphce.metrics import DyadicRational, _ce, _level_rank_counts, _sweep, _weights, ce_bounds
+from graphce import metrics
+from graphce.metrics import _CHUNK_LOG2, DyadicRational, _ce, _level_rank_counts, _sweep, _weights, ce_bounds
 from graphce.stabilizer import count_distinct_sets
 
 MAX_N = 10
@@ -110,6 +112,47 @@ def test_sweep_levels_match_weight_counts(g):
     for m, level in enumerate(_sweep(g).levels):
         tally = sum(c << (m - r) for r, c in level) * (2 if 2 * m == n else 1)
         assert tally == sum(c * math.comb(n - w, m - w) for w, c in enumerate(weights[:m + 1]))
+
+
+def brute_weights(g, s):
+    """N_w by enumeration: every x inside s whose Γx stays inside s, tallied by |x | Γx|."""
+    members = [v for v in range(g.n) if (s >> v) & 1]
+    counts = [0] * (len(members) + 1)
+    for sub in range(1 << len(members)):
+        x = gx = 0
+        for i, v in enumerate(members):
+            if (sub >> i) & 1:
+                x |= 1 << v
+                gx ^= g.adj[v]
+        if gx & ~s == 0:
+            counts[(x | gx).bit_count()] += 1
+    return counts
+
+
+# chunks of 2^2 lanes make the Gray walk across chunks run for every kernel of dimension above 2
+@pytest.mark.parametrize("chunk_log2", [_CHUNK_LOG2, 2])
+@settings(max_examples=150, deadline=None)
+@given(graph_and_sets(1))
+def test_weights_match_brute_force_enumeration(chunk_log2, case):
+    g, s = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(metrics, "_CHUNK_LOG2", chunk_log2)
+        assert _weights(g, s) == brute_weights(g, s)
+
+
+def test_brute_force_comparison_catches_a_shifted_lane_pattern(monkeypatch):
+    g = from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5)])
+    full = (1 << g.n) - 1
+    assert _weights(g, full) == brute_weights(g, full)
+    lane_patterns = metrics._lane_patterns
+
+    def shifted(c):
+        patterns = lane_patterns(c)
+        patterns[1] <<= 1
+        return patterns
+
+    monkeypatch.setattr(metrics, "_lane_patterns", shifted)
+    assert _weights(g, full) != brute_weights(g, full)
 
 
 @settings(max_examples=150, deadline=None)
