@@ -243,17 +243,14 @@ def is_connected(graph: Graph) -> bool:
     """Breadth-first reachability from vertex 0 covers all vertices."""
     if graph.n == 0:
         raise ValueError("connectivity undefined for the empty graph")
-    seen = 1
-    frontier = 1
+    adj = graph.adj
+    seen = frontier = 1
     while frontier:
         reach = 0
-        v = 0
-        f = frontier
-        while f:
-            if f & 1:
-                reach |= graph.adj[v]
-            f >>= 1
-            v += 1
+        while frontier:
+            low = frontier & -frontier
+            reach |= adj[low.bit_length() - 1]
+            frontier ^= low
         frontier = reach & ~seen
         seen |= frontier
     return seen == (1 << graph.n) - 1
@@ -331,42 +328,75 @@ def parse_graph6(text: str) -> Graph:
 # First line "n", then one "u v" pair per line, 1-indexed.
 
 
+class _Labels(dict):
+    """Labels "1".."n" -> vertices 0..n-1; any other spelling `int` accepts ("+3", "03", "1_0")
+    is converted on lookup, and one out of range or not an integer raises ValueError."""
+
+    def __missing__(self, label: str) -> int:
+        v = int(label) - 1
+        if not 0 <= v < len(self):
+            raise ValueError(f"vertex label {label!r} out of range")
+        return v
+
+
 def parse_edge_list(text: str) -> Graph:
-    """Parse the edge-list format; errors name the 1-indexed input line."""
+    """Parse the edge-list format; errors name the 1-indexed input line.
+
+    One OR per pair builds the rows and checks the pair on the way; only a rejected
+    input is walked again, line by line, by `_edge_list_error`, to name its first bad line."""
+    lines = [line for line in map(str.strip, text.splitlines()) if line and line[0] != "#"]
+    try:  # no count line, a count out of range, a line that is not one pair, or a bad label
+        count, *pairs = lines
+        if not 0 <= (n := int(count)) <= MAX_VERTICES:
+            raise ValueError(count)
+        labels = _Labels(zip(map(str, range(1, n + 1)), range(n)))
+        adj = [0] * n
+        for a, b in map(str.split, pairs):  # one line's tokens at a time
+            adj[labels[a]] |= 1 << labels[b]
+    except ValueError:
+        raise _edge_list_error(text) from None
+    if any(row >> v & 1 for v, row in enumerate(adj)):
+        raise _edge_list_error(text)
+    adj = [row | col for row, col in zip(adj, _transpose(adj, n))]
+    if sum(map(int.bit_count, adj)) != 2 * len(pairs):
+        seen = set()
+        for a, b in map(str.split, pairs):
+            u, v = labels[a], labels[b]
+            edge = (min(u, v), max(u, v))
+            if edge in seen:
+                warnings.warn(f"duplicate edge {edge} collapsed", DuplicateEdgeWarning, stacklevel=2)
+            seen.add(edge)
+    return Graph(n, tuple(adj))
+
+
+def _edge_list_error(text: str) -> ValueError:
+    """The error for the first bad line of an edge list that `parse_edge_list` rejected."""
     lines = [(i, ln.strip()) for i, ln in enumerate(text.splitlines(), 1)]
     lines = [(i, ln) for i, ln in lines if ln and not ln.startswith("#")]
     if not lines:
-        raise ValueError("empty edge-list input")
+        return ValueError("empty edge-list input")
     first, count = lines[0]
     try:
         n = int(count)
     except ValueError:
-        raise ValueError(f"line {first}: first line must be the vertex count, got {count!r}") from None
+        return ValueError(f"line {first}: first line must be the vertex count, got {count!r}")
     if n < 0:
-        raise ValueError(f"line {first}: vertex count must be non-negative, got {count!r}")
+        return ValueError(f"line {first}: vertex count must be non-negative, got {count!r}")
     if n > MAX_VERTICES:
-        raise ValueError(f"line {first}: vertex count {n} exceeds the limit of {MAX_VERTICES}")
-    adj = [0] * n
-    duplicates = []
+        return ValueError(f"line {first}: vertex count {n} exceeds the limit of {MAX_VERTICES}")
     for i, ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 2:
-            raise ValueError(f"line {i}: expected 'u v' pair, got {ln!r}")
+            return ValueError(f"line {i}: expected 'u v' pair, got {ln!r}")
         try:
             u, v = int(parts[0]) - 1, int(parts[1]) - 1
         except ValueError:
-            raise ValueError(f"line {i}: vertex labels must be integers, got {ln!r}") from None
+            return ValueError(f"line {i}: vertex labels must be integers, got {ln!r}")
         if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"line {i}: vertex label out of range 1..{n}, got {ln!r}")
+            return ValueError(f"line {i}: vertex label out of range 1..{n}, got {ln!r}")
         if u == v:
-            raise ValueError(f"line {i}: self-loop, got {ln!r}")
-        if (adj[u] >> v) & 1:
-            duplicates.append(f"duplicate edge {(min(u, v), max(u, v))} collapsed")
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    for message in duplicates:  # only once every line has parsed: a rejected input warns of nothing
-        warnings.warn(message, DuplicateEdgeWarning, stacklevel=2)
-    return Graph(n, tuple(adj))
+            return ValueError(f"line {i}: self-loop, got {ln!r}")
+    raise AssertionError("the per-line pass found no bad line in a rejected edge list")
 
 
 def write_edge_list(graph: Graph) -> str:

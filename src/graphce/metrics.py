@@ -17,7 +17,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .graphs import Graph, QubitSet, _eliminate, cut_rank, is_connected, write_graph6
 
@@ -180,15 +180,20 @@ class PuritySpectrum:
         return [(DyadicRational(1, r), c) for r, c in sorted(self.levels[m], reverse=True)]
 
 
-def _level_rank_counts(graph: Graph, m: int) -> dict[int, int]:
-    n = graph.n
-    counts: dict[int, int] = {}
+def _level_cuts(n: int, m: int) -> Iterator[int]:
+    """Vertex masks of the cuts with m of the n vertices on one side."""
     for combo in combinations(range(n), m):
         if 2 * m == n and combo[0] != 0:
             continue  # middle layer: keep the side containing vertex 0
         a = 0
         for v in combo:
             a |= 1 << v
+        yield a
+
+
+def _level_rank_counts(graph: Graph, m: int) -> dict[int, int]:
+    counts: dict[int, int] = {}
+    for a in _level_cuts(graph.n, m):
         r = cut_rank(graph, a)
         counts[r] = counts.get(r, 0) + 1
     return counts

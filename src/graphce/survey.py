@@ -25,12 +25,13 @@ from typing import Iterable, Iterator
 from .graphs import (
     Graph,
     _least_code,
+    cut_rank,
     family,
     graph_to_mask,
     is_connected,
     write_graph6,
 )
-from .metrics import DyadicRational, _ce, _level_rank_counts, ce_bounds
+from .metrics import DyadicRational, _ce, _level_cuts, ce_bounds
 
 ENUMERATION_MAX_VERTICES = 8
 STRETCH_MIN_VERTICES = 7
@@ -90,6 +91,18 @@ def enumerate_connected(n: int, *, stretch: bool = False) -> list[Graph]:
     return sorted((Graph(n, rows) for rows, _ in level), key=graph_to_mask)
 
 
+def _middle_rank(graph: Graph) -> int:
+    """The largest rank of a cut with m = n // 2 vertices on one side; no such cut ranks
+    above m, so the scan stops at the first one that reaches it."""
+    m = graph.n // 2
+    best = 0
+    for a in _level_cuts(graph.n, m):
+        best = max(best, cut_rank(graph, a))
+        if best == m:
+            break
+    return best
+
+
 def _record(graph: Graph, *, kind: str | None = None, size: int | None = None) -> SurveyRecord:
     ce = _ce(graph, (1 << graph.n) - 1)
     lo, hi = ce_bounds(graph.n)
@@ -98,7 +111,7 @@ def _record(graph: Graph, *, kind: str | None = None, size: int | None = None) -
         graph6=write_graph6(graph),
         n=graph.n,
         ce=ce,
-        distinct_purities=max(_level_rank_counts(graph, graph.n // 2)),
+        distinct_purities=_middle_rank(graph),
         achieves_min=ce == lo,
         achieves_max=ce == hi,
         kind=kind,

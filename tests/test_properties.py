@@ -1,8 +1,9 @@
 """Property tests: cut-rank against the enumeration oracle, DyadicRational and CE sums against Fraction,
-stabilizer weight counts against brute-force enumeration, and the bitset graph readers and writers
-against pair-by-pair reference loops."""
+stabilizer weight counts against brute-force enumeration, the bitset graph readers and writers
+against pair-by-pair reference loops, and the edge-list parser against a per-line one."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from graphce.graphs import (
+    MAX_VERTICES,
+    DuplicateEdgeWarning,
     Graph,
     Graph6Error,
     QubitSet,
@@ -30,6 +33,7 @@ from graphce.graphs import (
 from graphce import metrics
 from graphce.metrics import _CHUNK_LOG2, DyadicRational, _ce, _level_rank_counts, _sweep, _weights, ce_bounds
 from graphce.stabilizer import count_distinct_sets
+from graphce.survey import _middle_rank
 
 MAX_N = 10
 
@@ -312,3 +316,136 @@ def test_arbitrary_edge_list_text_gives_a_graph_or_value_error(text):
     except ValueError:
         return
     assert g.n == count
+
+
+# --- the edge-list parser against a per-line reference ----------------------------
+
+
+def per_line_parse_edge_list(text: str) -> Graph:
+    """Parse the edge-list format; errors name the 1-indexed input line."""
+    lines = [(i, ln.strip()) for i, ln in enumerate(text.splitlines(), 1)]
+    lines = [(i, ln) for i, ln in lines if ln and not ln.startswith("#")]
+    if not lines:
+        raise ValueError("empty edge-list input")
+    first, count = lines[0]
+    try:
+        n = int(count)
+    except ValueError:
+        raise ValueError(f"line {first}: first line must be the vertex count, got {count!r}") from None
+    if n < 0:
+        raise ValueError(f"line {first}: vertex count must be non-negative, got {count!r}")
+    if n > MAX_VERTICES:
+        raise ValueError(f"line {first}: vertex count {n} exceeds the limit of {MAX_VERTICES}")
+    adj = [0] * n
+    duplicates = []
+    for i, ln in lines[1:]:
+        parts = ln.split()
+        if len(parts) != 2:
+            raise ValueError(f"line {i}: expected 'u v' pair, got {ln!r}")
+        try:
+            u, v = int(parts[0]) - 1, int(parts[1]) - 1
+        except ValueError:
+            raise ValueError(f"line {i}: vertex labels must be integers, got {ln!r}") from None
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"line {i}: vertex label out of range 1..{n}, got {ln!r}")
+        if u == v:
+            raise ValueError(f"line {i}: self-loop, got {ln!r}")
+        if (adj[u] >> v) & 1:
+            duplicates.append(f"duplicate edge {(min(u, v), max(u, v))} collapsed")
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    for message in duplicates:  # only once every line has parsed: a rejected input warns of nothing
+        warnings.warn(message, DuplicateEdgeWarning, stacklevel=2)
+    return Graph(n, tuple(adj))
+
+
+def parse_outcome(parse, text):
+    """The adjacency or the error, and each warning's category, text and reported file."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = parse(text).adj
+        except ValueError as exc:
+            result = (type(exc), str(exc))
+    return result, [(w.category, str(w.message), w.filename) for w in caught]
+
+
+# Mostly pairs of distinct labels 1..5, each in some spelling int() accepts, so that duplicates and
+# reversed duplicates are common; a few noise lines go in among them: odd labels, self-loops,
+# 3-token lines, single tokens, blank lines and comments.  Line ends are of every kind.
+edge_list_pairs = st.tuples(st.integers(1, 5), st.integers(1, 5)).filter(lambda p: p[0] != p[1]).flatmap(
+    lambda p: st.tuples(*(st.sampled_from([str(u), f"+{u}", f"0{u}", chr(0x660 + u)]) for u in p),
+                        st.sampled_from([" ", "\t", "  "]))
+    .map(lambda spelled: spelled[0] + spelled[2] + spelled[1])
+)
+edge_labels = st.sampled_from(["1", "2", "3", "+1", "01", "-1", "0", "x", "1_0", "\u0663", "7"])
+edge_list_noise = st.one_of(
+    st.tuples(edge_labels, st.sampled_from([" ", "\x0c", "\x1c"]), edge_labels).map("".join),
+    st.tuples(edge_labels, edge_labels, edge_labels).map(" ".join),
+    edge_labels,
+    st.sampled_from(["3 3", "2 +2", "\u0663 3", "1 x", "x 2", "1 2 #"]),
+    st.sampled_from(["", "  ", "\t", "# comment", " # 1 2", "#"]),
+)
+
+
+def edge_list_text(lead, header, pairs, noise, ends):
+    lines = lead + [header] + pairs
+    for position, line in noise:
+        lines.insert(len(lead) + 1 + position % (len(pairs) + 1), line)
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+edge_list_texts = st.builds(
+    edge_list_text,
+    st.lists(st.sampled_from(["", "# header"]), max_size=2),
+    st.sampled_from(["5", "5", "5", "+5", "05", "\u0665", " 5\t", "3", "0", "1", "-1", "x", "5 5"]),
+    st.lists(edge_list_pairs, max_size=14),
+    st.lists(st.tuples(st.integers(0, 14), edge_list_noise), max_size=3),
+    st.lists(st.sampled_from(["\n", "\r\n", "\r", "\x1c"]), min_size=20, max_size=20),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(edge_list_texts)
+def test_edge_list_parser_matches_the_per_line_reference(text):
+    # the same graph or error, and the same warnings in order, reported at this file (stacklevel=2)
+    assert parse_outcome(parse_edge_list, text) == parse_outcome(per_line_parse_edge_list, text)
+
+
+def test_edge_list_reference_comparison_sees_reversed_duplicates():
+    text = "# no13\r\n6\r\n\r\n1 2\r\n2 3\r\n3 4\r\n4 5\r\n3 6\r\n2 1\r\n"
+    outcome = parse_outcome(parse_edge_list, text)
+    assert outcome == parse_outcome(per_line_parse_edge_list, text)
+    assert outcome[1] == [(DuplicateEdgeWarning, "duplicate edge (0, 1) collapsed", __file__)]
+
+
+def set_bfs_connected(g):
+    seen, todo = {0}, [0]
+    while todo:
+        u = todo.pop()
+        for v in range(g.n):
+            if g.has_edge(u, v) and v not in seen:
+                seen.add(v)
+                todo.append(v)
+    return len(seen) == g.n
+
+
+def sparse_graphs(max_n):
+    """Graphs with at most 2n random edges, disconnected ones among them."""
+    return st.integers(1, max_n).flatmap(
+        lambda n: st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n).map(
+            lambda pairs: from_edges(n, sorted({(min(u, v), max(u, v)) for u, v in pairs if u != v}))
+        )
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(sparse_graphs(70), graphs))
+def test_is_connected_matches_a_set_based_bfs(g):
+    assert is_connected(g) == set_bfs_connected(g)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(graphs, sparse_graphs(MAX_N)))
+def test_middle_rank_stops_at_the_level_max(g):
+    assert _middle_rank(g) == max(_level_rank_counts(g, g.n // 2))
