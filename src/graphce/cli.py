@@ -62,7 +62,7 @@ def _load_graph(args: argparse.Namespace) -> Graph:
     if args.graph6 is not None:
         return parse_graph6(args.graph6)
     if args.edges is not None:
-        with open(args.edges, encoding="utf-8") as fh:
+        with open(args.edges, encoding="utf-8-sig") as fh:
             return parse_edge_list(fh.read())
     if args.size is None:
         raise UsageError("--family requires --size")

@@ -104,17 +104,8 @@ class Graph:
             u, diff = next((u, row ^ col) for u, (row, col) in enumerate(zip(self.adj, cols)) if row != col)
             raise ValueError(f"adjacency not symmetric at ({u}, {(diff & -diff).bit_length() - 1})")
 
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
-
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in range(u + 1, self.n) if (self.adj[u] >> v) & 1]
-
-    def edge_count(self) -> int:
-        return sum(row.bit_count() for row in self.adj) // 2
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool((self.adj[u] >> v) & 1)
 
 
 def _swap_steps(w: int) -> tuple[tuple[int, int], ...]:
@@ -195,13 +186,6 @@ def family(kind: str, n: int) -> Graph:
         core = tuple(full ^ (1 << v) | (1 << (v + n)) for v in range(n))
         return Graph(2 * n, core + tuple(1 << v for v in range(n)))
     raise ValueError(f"unknown family kind {kind!r}; expected one of {FAMILY_KINDS}")
-
-
-def neighborhood(graph: Graph, a: int) -> QubitSet:
-    """Vertices joined to a by a single edge."""
-    if not 0 <= a < graph.n:
-        raise ValueError(f"vertex {a} out of range for n={graph.n}")
-    return QubitSet(graph.n, graph.adj[a])
 
 
 def _eliminate(rows: Iterable[int]) -> dict[int, int]:
@@ -472,14 +456,6 @@ def canonical_form(graph: Graph) -> bytes:
     for depth, c in enumerate(best):
         mask = (mask << depth) | c
     return bytes([n]) + mask.to_bytes((pair_count(n) + 7) // 8, "big")
-
-
-def permute(graph: Graph, order: Sequence[int]) -> Graph:
-    """Relabelled copy: new vertex i is old vertex order[i]."""
-    if sorted(order) != list(range(graph.n)):
-        raise ValueError("order must be a permutation of the vertices")
-    inv = {old: new for new, old in enumerate(order)}
-    return from_edges(graph.n, [(inv[u], inv[v]) for u, v in graph.edges()])
 
 
 def random_connected_graph(n: int, rng: random.Random) -> Graph:

@@ -46,14 +46,6 @@ class DyadicRational:
         object.__setattr__(self, "numerator", num)
         object.__setattr__(self, "log2_denominator", q)
 
-    @classmethod
-    def zero(cls) -> DyadicRational:
-        return cls(0)
-
-    @classmethod
-    def one(cls) -> DyadicRational:
-        return cls(1)
-
     @staticmethod
     def _coerce(value) -> DyadicRational:
         if isinstance(value, DyadicRational):
@@ -61,14 +53,6 @@ class DyadicRational:
         if isinstance(value, int):
             return DyadicRational(value)
         raise TypeError(f"cannot mix DyadicRational with {type(value).__name__}")
-
-    def __add__(self, other) -> DyadicRational:
-        o = self._coerce(other)
-        q = max(self.log2_denominator, o.log2_denominator)
-        num = (self.numerator << (q - self.log2_denominator)) + (o.numerator << (q - o.log2_denominator))
-        return DyadicRational(num, q)
-
-    __radd__ = __add__
 
     def __sub__(self, other) -> DyadicRational:
         o = self._coerce(other)
@@ -78,16 +62,6 @@ class DyadicRational:
 
     def __rsub__(self, other) -> DyadicRational:
         return self._coerce(other) - self
-
-    def __mul__(self, other) -> DyadicRational:
-        o = self._coerce(other)
-        return DyadicRational(self.numerator * o.numerator, self.log2_denominator + o.log2_denominator)
-
-    __rmul__ = __mul__
-
-    def shifted(self, k: int) -> DyadicRational:
-        """The value divided by 2^k."""
-        return DyadicRational(self.numerator, self.log2_denominator + k)
 
     def _cmp_key(self, other: DyadicRational) -> tuple[int, int]:
         return (self.numerator << other.log2_denominator, other.numerator << self.log2_denominator)
@@ -171,9 +145,6 @@ class PuritySpectrum:
 
     def counts_at(self, m: int) -> dict[int, int]:
         return dict(self.levels[m])
-
-    def bipartition_count(self, m: int) -> int:
-        return sum(c for _, c in self.levels[m])
 
     def purity_tally(self, m: int) -> list[tuple[DyadicRational, int]]:
         """(purity, count) pairs at level m, smallest purity first."""

@@ -11,7 +11,6 @@ patterns over the 2^|A| outcomes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from .graphs import Graph, QubitSet, cut_rank
 
@@ -31,21 +30,6 @@ class GF2Vector:
         # canonical padding: bits beyond `length` are zero
         object.__setattr__(self, "bits", self.bits & ((1 << self.length) - 1))
 
-    @classmethod
-    def from_bits(cls, elements: Iterable[int]) -> GF2Vector:
-        bits = 0
-        length = 0
-        for e in elements:
-            if e & 1:
-                bits |= 1 << length
-            length += 1
-        return cls(length, bits)
-
-    @classmethod
-    def from_string(cls, text: str) -> GF2Vector:
-        """Parse e.g. "0011" (leftmost character is element 0)."""
-        return cls.from_bits(int(c) for c in text)
-
     def __getitem__(self, i: int) -> int:
         if not 0 <= i < self.length:
             raise IndexError(f"index {i} out of range for length {self.length}")
@@ -53,14 +37,6 @@ class GF2Vector:
 
     def __iter__(self):
         return ((self.bits >> i) & 1 for i in range(self.length))
-
-    def __xor__(self, other: GF2Vector) -> GF2Vector:
-        if self.length != other.length:
-            raise ValueError(f"length mismatch: {self.length} != {other.length}")
-        return GF2Vector(self.length, self.bits ^ other.bits)
-
-    def weight(self) -> int:
-        return self.bits.bit_count()
 
     def __str__(self) -> str:
         return "".join(str(b) for b in self)
@@ -83,12 +59,6 @@ class PauliGenerator:
     @property
     def n(self) -> int:
         return self.x_bits.length
-
-    def commutes_with(self, other: PauliGenerator) -> bool:
-        """Symplectic inner product is zero."""
-        anti = (self.x_bits.bits & other.z_bits.bits).bit_count()
-        anti += (self.z_bits.bits & other.x_bits.bits).bit_count()
-        return anti % 2 == 0
 
     def __str__(self) -> str:
         return pauli_str(self)
@@ -124,9 +94,6 @@ class StabilizerTableau:
     def generator_for(self, qubit: int) -> PauliGenerator:
         return self.generators[self.qubits.index(qubit)]
 
-    def signs(self) -> tuple[int, ...]:
-        return tuple(g.sign for g in self.generators)
-
     def __str__(self) -> str:
         return "\n".join(f"S_{q + 1} = {pauli_str(g)}" for q, g in zip(self.qubits, self.generators))
 
@@ -148,10 +115,6 @@ class OutcomeBitstring:
     @classmethod
     def from_int(cls, support: QubitSet, value: int) -> OutcomeBitstring:
         return cls(support, GF2Vector(len(support), value))
-
-    @classmethod
-    def zeros(cls, support: QubitSet) -> OutcomeBitstring:
-        return cls(support, GF2Vector(len(support)))
 
 
 def graph_generators(graph: Graph) -> StabilizerTableau:

@@ -239,6 +239,13 @@ def test_edge_list_error_names_line(tmp_path, capsys):
     assert "line 3: vertex labels must be integers, got '1 x'" in capsys.readouterr().err
 
 
+def test_edge_list_with_a_byte_order_mark(tmp_path, no13_path):
+    path = tmp_path / "bom.txt"
+    path.write_bytes(b"\xef\xbb\xbf" + NO13_EDGE_FILE.replace("\n", "\r\n").encode())
+    assert invoke(["ce", "--edges", str(path), "--subset", "1"]) == (0, "1/4\n")
+    assert invoke(["spectrum", "--edges", str(path)]) == invoke(["spectrum", "--edges", no13_path])
+
+
 @pytest.mark.parametrize("graph6", ["@", "?"])
 def test_rank_index_needs_two_qubits(graph6, capsys):
     code, text = invoke(["rank-index", "--graph6", graph6])
@@ -387,6 +394,17 @@ def test_library_vertex_count_cap_comes_before_any_work():
         "vertex count 4097 exceeds the limit of 4096",
         "vertex count 100000000 exceeds the limit of 4096",
     ]
+
+
+def test_all_lists_exactly_the_public_names():
+    import types
+
+    import graphce
+
+    public = {name for name, value in vars(graphce).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert len(set(graphce.__all__)) == len(graphce.__all__)
+    assert set(graphce.__all__) - {"__version__"} == public
 
 
 def test_numpy_loads_only_for_the_dense_oracle():

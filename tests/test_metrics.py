@@ -30,17 +30,14 @@ NO13 = from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5)])
 def test_dyadic_normalisation():
     d = DyadicRational(6, 3)  # 6/8
     assert (d.numerator, d.log2_denominator) == (3, 2)
-    assert DyadicRational(0, 7) == DyadicRational.zero()
+    assert DyadicRational(0, 7) == DyadicRational(0)
 
 
 def test_dyadic_arithmetic():
     half = DyadicRational(1, 1)
     quarter = DyadicRational(1, 2)
-    assert half + quarter == DyadicRational(3, 2)
     assert half - quarter == quarter
-    assert half * half == quarter
     assert 1 - quarter == DyadicRational(3, 2)
-    assert quarter.shifted(2) == DyadicRational(1, 4)
 
 
 def test_dyadic_rejects_negative():
@@ -57,7 +54,7 @@ def test_dyadic_comparisons():
 def test_dyadic_strings():
     assert str(DyadicRational(21, 5)) == "21/32"
     assert str(DyadicRational(1, 0)) == "1"
-    assert str(DyadicRational.zero()) == "0"
+    assert str(DyadicRational(0)) == "0"
     assert DyadicRational(21, 5).decimal_str() == "0.65625"
     assert DyadicRational(1, 1).decimal_str() == "0.5"
     assert DyadicRational(3, 1).decimal_str() == "1.5"
@@ -78,8 +75,8 @@ def test_purity_no13_golden():
 
 
 def test_purity_trivial_cuts():
-    assert purity(NO13, range(6)) == DyadicRational.one()
-    assert purity(NO13, []) == DyadicRational.one()
+    assert purity(NO13, range(6)) == DyadicRational(1)
+    assert purity(NO13, []) == DyadicRational(1)
 
 
 def test_purity_single_qubit_is_half():
@@ -162,11 +159,9 @@ def test_ce_spectrum_shortcut_matches_direct_sum():
 
     for n in range(2, 8):
         for g in enumerate_connected(n, stretch=n >= 7):
-            direct = DyadicRational.zero()
-            for members in range(1 << n):
-                direct += purity(g, QubitSet(n, members))
-            expected = DyadicRational.one() - direct.shifted(n)
-            assert concentratable_entanglement(g, range(n)) == expected
+            direct = sum(purity(g, QubitSet(n, members)).as_fraction() for members in range(1 << n))
+            expected = 1 - direct / 2**n
+            assert concentratable_entanglement(g, range(n)).as_fraction() == expected
 
 
 def test_ce_disconnected_graph_warns_but_computes():
@@ -218,7 +213,7 @@ def test_purity_spectrum_counts_match_binomials():
         spectrum = purity_spectrum(g)
         for m in range(1, g.n // 2 + 1):
             expected = comb(g.n, m) // (2 if 2 * m == g.n else 1)
-            assert spectrum.bipartition_count(m) == expected
+            assert sum(spectrum.counts_at(m).values()) == expected
 
 
 def test_purity_spectrum_k2():
@@ -299,6 +294,6 @@ def test_ce_report_subset():
     report = ce_report(NO13, [0])
     assert report.ce == DyadicRational(1, 2)
     # full-set bounds for size 1 are (0, 0); subset CE legitimately exceeds them
-    assert report.bound_min == DyadicRational.zero()
-    assert report.bound_max == DyadicRational.zero()
+    assert report.bound_min == DyadicRational(0)
+    assert report.bound_max == DyadicRational(0)
     assert not report.achieves_min and not report.achieves_max

@@ -81,9 +81,18 @@ dyadics = st.builds(DyadicRational, st.integers(0, 1 << 40), st.integers(0, 40))
 @given(dyadics, dyadics)
 def test_dyadic_matches_fraction(x, y):
     fx, fy = x.as_fraction(), y.as_fraction()
-    assert (x + y).as_fraction() == fx + fy
-    assert (x * y).as_fraction() == fx * fy
     assert (x < y) == (fx < fy)
+    assert (x <= y) == (fx <= fy)
+    assert (x > y) == (fx > fy)
+    assert (x >= y) == (fx >= fy)
+    assert (x == y) == (fx == fy)
+    # the same value with y's denominator exponent on top normalises back to x
+    same = DyadicRational(x.numerator << y.log2_denominator, x.log2_denominator + y.log2_denominator)
+    assert same == x and hash(same) == hash(x)
+    assert same <= x and same >= x and not same < x and not same > x
+    assert (x < 1) == (fx < 1)
+    if fx <= 1:
+        assert (1 - x).as_fraction() == 1 - fx
     if fx >= fy:
         assert (x - y).as_fraction() == fx - fy
     else:
@@ -260,9 +269,9 @@ def test_from_edges_past_64_vertices(case):
 
 def test_snowflake_past_64_vertices():
     g = family("snowflake", 40)
-    assert g.n == 80 and g.edge_count() == 40 * 39 // 2 + 40
-    assert all(g.has_edge(i, i + 40) and g.degree(i + 40) == 1 for i in range(40))
-    assert all(g.degree(i) == 40 for i in range(40))
+    assert g.n == 80 and len(g.edges()) == 40 * 39 // 2 + 40
+    assert all(g.adj[i] >> (i + 40) & 1 and g.adj[i + 40].bit_count() == 1 for i in range(40))
+    assert all(g.adj[i].bit_count() == 40 for i in range(40))
 
 
 def declared_vertex_count(text):
@@ -424,7 +433,7 @@ def set_bfs_connected(g):
     while todo:
         u = todo.pop()
         for v in range(g.n):
-            if g.has_edge(u, v) and v not in seen:
+            if g.adj[u] >> v & 1 and v not in seen:
                 seen.add(v)
                 todo.append(v)
     return len(seen) == g.n

@@ -10,11 +10,11 @@ from graphce.cli import run
 from graphce.graphs import (
     canonical_form,
     family,
+    from_edges,
     graph_to_mask,
     is_connected,
     mask_to_graph,
     pair_count,
-    permute,
     random_connected_graph,
     write_graph6,
 )
@@ -35,6 +35,12 @@ from graphce.survey import (
 
 # one representative per class of connected graphs on 1..8 vertices (OEIS-style counts)
 CLASS_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
+
+
+def permute(graph, order):
+    """Relabelled copy: new vertex i is old vertex order[i]."""
+    inv = {old: new for new, old in enumerate(order)}
+    return from_edges(graph.n, [(inv[u], inv[v]) for u, v in graph.edges()])
 
 
 def brute_force_classes(n):
