@@ -337,78 +337,93 @@ def _cmd_verify(args: argparse.Namespace, out) -> int:
     return 0 if ok else VERIFY_FAILURE
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _ce_args(p: argparse.ArgumentParser) -> None:
+    _add_graph_source(p)
+    p.add_argument("--subset", metavar="LABELS", help="1-indexed labels, e.g. \"1,3,5\"")
+    p.add_argument("--format", choices=("plain", "table", "csv", "json-lines"), default="plain")
+    p.add_argument("--decimal", action="store_true", help="print exact decimals instead of fractions")
+    p.add_argument("--no-budget", action="store_true", help=f"run even above 2^{CE_BUDGET_LOG2} stabilizer elements")
+
+
+def _purity_args(p: argparse.ArgumentParser) -> None:
+    _add_graph_source(p)
+    p.add_argument("--subset", metavar="LABELS")
+    p.add_argument("--cut", metavar="A|B", help="full bipartition, e.g. \"4,6|1,2,3,5\"")
+    p.add_argument("--decimal", action="store_true")
+
+
+def _rank_index_args(p: argparse.ArgumentParser) -> None:
+    _add_graph_source(p)
+    p.add_argument("--m", type=int, help="cut size (default: all m up to n/2)")
+    p.add_argument("--format", choices=("table", "csv"), default="table")
+    p.add_argument("--no-budget", action="store_true", help=f"run even above 2^{CUT_BUDGET_LOG2} cut-ranks")
+
+
+def _spectrum_args(p: argparse.ArgumentParser) -> None:
+    _add_graph_source(p)
+    p.add_argument("--format", choices=("table", "csv"), default="table")
+    p.add_argument("--decimal", action="store_true")
+    p.add_argument("--no-budget", action="store_true", help=f"run even above 2^{CUT_BUDGET_LOG2} cut-ranks")
+
+
+def _survey_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--stretch", action="store_true", help="allow the slow n = 7, 8 sweeps")
+    p.add_argument("--format", choices=("table", "csv", "json-lines"), default="table")
+    p.add_argument("--decimal", action="store_true")
+
+
+def _family_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--kind", choices=FAMILY_KINDS, required=True)
+    p.add_argument("--from", dest="start", type=int, required=True)
+    p.add_argument("--to", dest="end", type=int, required=True)
+    p.add_argument("--format", choices=("table", "csv", "json-lines"), default="table")
+    p.add_argument("--decimal", action="store_true")
+
+
+def _verify_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--seed", type=int, help="RNG seed (default: random, printed)")
+    p.add_argument("--trials", type=int, default=25, help="cases per check")
+
+
+COMMANDS: dict[str, tuple[str, Callable[[argparse.ArgumentParser], None], Callable[..., int]]] = {
+    "ce": ("Concentratable Entanglement of a subset (default: all qubits)", _ce_args, _cmd_ce),
+    "purity": ("reduced-state purity of a subset or across a cut", _purity_args, _cmd_purity),
+    "rank-index": ("Schmidt-rank tallies per cut size", _rank_index_args, _cmd_rank_index),
+    "spectrum": ("purity tallies per cut size", _spectrum_args, _cmd_spectrum),
+    "survey": ("CE over all connected isomorphism classes of n qubits", _survey_args, _cmd_survey),
+    "family": ("CE sweep over a graph family", _family_args, _cmd_family),
+    "verify": ("randomized dense-oracle cross-checks", _verify_args, _cmd_verify),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The whole parser or, for a name in COMMANDS, only that subparser: all seven cost more than a small ce."""
     parser = argparse.ArgumentParser(
         prog="graphce",
         description="Exact reduced-state purities and Concentratable Entanglement of graph states.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_ce = sub.add_parser("ce", help="Concentratable Entanglement of a subset (default: all qubits)")
-    _add_graph_source(p_ce)
-    p_ce.add_argument("--subset", metavar="LABELS", help="1-indexed labels, e.g. \"1,3,5\"")
-    p_ce.add_argument("--format", choices=("plain", "table", "csv", "json-lines"), default="plain")
-    p_ce.add_argument("--decimal", action="store_true", help="print exact decimals instead of fractions")
-    p_ce.add_argument("--no-budget", action="store_true", help=f"run even above 2^{CE_BUDGET_LOG2} stabilizer elements")
-    p_ce.set_defaults(func=_cmd_ce)
-
-    p_pur = sub.add_parser("purity", help="reduced-state purity of a subset or across a cut")
-    _add_graph_source(p_pur)
-    p_pur.add_argument("--subset", metavar="LABELS")
-    p_pur.add_argument("--cut", metavar="A|B", help="full bipartition, e.g. \"4,6|1,2,3,5\"")
-    p_pur.add_argument("--decimal", action="store_true")
-    p_pur.set_defaults(func=_cmd_purity)
-
-    p_ri = sub.add_parser("rank-index", help="Schmidt-rank tallies per cut size")
-    _add_graph_source(p_ri)
-    p_ri.add_argument("--m", type=int, help="cut size (default: all m up to n/2)")
-    p_ri.add_argument("--format", choices=("table", "csv"), default="table")
-    p_ri.add_argument("--no-budget", action="store_true", help=f"run even above 2^{CUT_BUDGET_LOG2} cut-ranks")
-    p_ri.set_defaults(func=_cmd_rank_index)
-
-    p_sp = sub.add_parser("spectrum", help="purity tallies per cut size")
-    _add_graph_source(p_sp)
-    p_sp.add_argument("--format", choices=("table", "csv"), default="table")
-    p_sp.add_argument("--decimal", action="store_true")
-    p_sp.add_argument("--no-budget", action="store_true", help=f"run even above 2^{CUT_BUDGET_LOG2} cut-ranks")
-    p_sp.set_defaults(func=_cmd_spectrum)
-
-    p_sv = sub.add_parser("survey", help="CE over all connected isomorphism classes of n qubits")
-    p_sv.add_argument("--n", type=int, required=True)
-    p_sv.add_argument("--stretch", action="store_true", help="allow the slow n = 7, 8 sweeps")
-    p_sv.add_argument("--format", choices=("table", "csv", "json-lines"), default="table")
-    p_sv.add_argument("--decimal", action="store_true")
-    p_sv.set_defaults(func=_cmd_survey)
-
-    p_fam = sub.add_parser("family", help="CE sweep over a graph family")
-    p_fam.add_argument("--kind", choices=FAMILY_KINDS, required=True)
-    p_fam.add_argument("--from", dest="start", type=int, required=True)
-    p_fam.add_argument("--to", dest="end", type=int, required=True)
-    p_fam.add_argument("--format", choices=("table", "csv", "json-lines"), default="table")
-    p_fam.add_argument("--decimal", action="store_true")
-    p_fam.set_defaults(func=_cmd_family)
-
-    p_ver = sub.add_parser("verify", help="randomized dense-oracle cross-checks")
-    p_ver.add_argument("--seed", type=int, help="RNG seed (default: random, printed)")
-    p_ver.add_argument("--trials", type=int, default=25, help="cases per check")
-    p_ver.set_defaults(func=_cmd_verify)
-
+    for name, (help_text, add_arguments, _) in COMMANDS.items():
+        if command not in COMMANDS or command == name:
+            add_arguments(sub.add_parser(name, help=help_text))
+    if command in COMMANDS:  # the usage line still lists every command; the full tree needs no metavar
+        sub.metavar = "{" + ",".join(COMMANDS) + "}"
     return parser
 
 
 def run(argv: Sequence[str] | None = None, out=None) -> int:
     out = out if out is not None else sys.stdout
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:
-        return args.func(args, out)
+        return COMMANDS[args.command][2](args, out)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 
 
 def main() -> None:
-    sys.exit(run())
+    sys.exit(run(sys.argv[1:]))

@@ -63,6 +63,18 @@ class DyadicRational:
     def __rsub__(self, other) -> DyadicRational:
         return self._coerce(other) - self
 
+    def __eq__(self, other) -> bool:
+        if isinstance(other, int):  # not through _coerce, which refuses negative ints
+            return self.log2_denominator == 0 and self.numerator == other
+        if isinstance(other, DyadicRational):
+            return (self.numerator, self.log2_denominator) == (other.numerator, other.log2_denominator)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        """Equal values hash equal; an integral value hashes as its int."""
+        q = self.log2_denominator
+        return hash(self.numerator) if q == 0 else hash((self.numerator, q))
+
     def _cmp_key(self, other: DyadicRational) -> tuple[int, int]:
         return (self.numerator << other.log2_denominator, other.numerator << self.log2_denominator)
 

@@ -198,9 +198,12 @@ def test_family_graph_source():
     assert (code, text) == (0, "15/32\n")
 
 
-def test_unknown_command_usage_error():
+def test_unknown_command_usage_error(capsys):
     code, _ = invoke(["frobnicate"])
     assert code == 2
+    assert "graphce: error: argument command: invalid choice: " in capsys.readouterr().err
+    assert invoke([]) == (2, "")
+    assert capsys.readouterr().err.endswith("graphce: error: the following arguments are required: command\n")
 
 
 def test_verify_fixed_seed():
@@ -471,3 +474,64 @@ def test_verify_stdout_golden(seed, trials):
 
     code, text = invoke(["verify", "--seed", seed, "--trials", trials])
     assert (code, re.sub(r" \(\d+\.\d+s\)", "", text)) == (0, VERIFY_GOLDENS[seed, trials])
+
+
+# For each command: a valid call, -h, a bad choice (or, without choices, a bad
+# handler value), a missing required option (or graph source), a non-integer
+# int, and a trailing unrecognized argument.
+PARSER_ARGVS = {
+    "ce": [["--graph6", "EhC_"], ["-h"], ["--graph6", "EhC_", "--format", "xml"], [],
+           ["--family", "ring", "--size", "x"], ["--graph6", "EhC_", "extra"]],
+    "purity": [["--graph6", "EhC_", "--subset", "1"], ["-h"], ["--family", "blob", "--size", "3"], ["--graph6", "EhC_"],
+               ["--family", "ring", "--size", "1.5", "--subset", "1"], ["--graph6", "EhC_", "--subset", "1", "extra"]],
+    "rank-index": [["--graph6", "EhC_"], ["-h"], ["--graph6", "EhC_", "--format", "xml"], ["--m", "2"],
+                   ["--graph6", "EhC_", "--m", "two"], ["--graph6", "EhC_", "extra"]],
+    "spectrum": [["--graph6", "EhC_"], ["-h"], ["--graph6", "EhC_", "--format", "json-lines"], ["--format", "csv"],
+                 ["--family", "ring", "--size", "six"], ["--graph6", "EhC_", "extra"]],
+    "survey": [["--n", "4"], ["-h"], ["--n", "4", "--format", "xml"], ["--format", "csv"], ["--n", "four"],
+               ["--n", "4", "extra"]],
+    "family": [["--kind", "ring", "--from", "3", "--to", "5"], ["-h"], ["--kind", "blob", "--from", "3", "--to", "5"],
+               ["--kind", "ring", "--from", "3"], ["--kind", "ring", "--from", "3", "--to", "x"],
+               ["--kind", "ring", "--from", "3", "--to", "5", "extra"]],
+    "verify": [["--seed", "3", "--trials", "2"], ["-h"], ["--trials", "0"], ["--seed"], ["--seed", "x"],
+               ["--seed", "3", "--trials", "2", "extra"]],
+}
+TOP_LEVEL_ARGVS = [[], ["-h"], ["frobnicate"], ["--", "ce"]]
+
+
+def run_captured(argv, capsys):
+    import re
+
+    code = run(argv)
+    captured = capsys.readouterr()
+    return code, re.sub(r" \(\d+\.\d+s\)", "", captured.out), captured.err
+
+
+@pytest.mark.parametrize("argv", [[command, *args] for command, argvs in PARSER_ARGVS.items() for args in argvs]
+                         + TOP_LEVEL_ARGVS, ids=" ".join)
+def test_one_subparser_parses_like_the_full_tree(argv, monkeypatch, capsys):
+    from graphce import cli
+
+    got = run_captured(argv, capsys)
+    full_tree = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full_tree())
+    assert got == run_captured(argv, capsys)
+
+
+def test_run_builds_only_the_named_subparser(monkeypatch):
+    import argparse
+
+    from graphce import cli
+
+    def choices(parser):
+        return [*next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices]
+
+    assert choices(cli.build_parser("ce")) == ["ce"]
+    assert choices(cli.build_parser()) == choices(cli.build_parser("frobnicate")) == list(cli.COMMANDS)
+    assert len(cli.COMMANDS) == 7
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: built.append(command) or build(command))
+    assert invoke(["ce", "--graph6", "EhC_"]) == (0, "21/32\n")
+    invoke(["--", "ce"])
+    assert built == ["ce", "--"]

@@ -91,6 +91,10 @@ def test_dyadic_matches_fraction(x, y):
     assert same == x and hash(same) == hash(x)
     assert same <= x and same >= x and not same < x and not same > x
     assert (x < 1) == (fx < 1)
+    for k in (-1, 0, 1, int(fx), int(fx) + 1):
+        assert (x == k) == (fx == k) and (k == x) == (k == fx) and (x != k) == (fx != k)
+        if k >= 0:
+            assert hash(DyadicRational(k)) == hash(k) and {DyadicRational(k): 0}.get(k) == 0
     if fx <= 1:
         assert (1 - x).as_fraction() == 1 - fx
     if fx >= fy:
