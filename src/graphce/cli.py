@@ -14,6 +14,7 @@ import math
 import random
 import sys
 import time
+from fractions import Fraction
 from typing import Callable, Sequence
 
 from . import survey
@@ -21,6 +22,7 @@ from .graphs import (
     FAMILY_KINDS,
     Graph,
     QubitSet,
+    cut_rank,
     family,
     parse_edge_list,
     parse_graph6,
@@ -28,7 +30,6 @@ from .graphs import (
     write_graph6,
 )
 from .metrics import (
-    DyadicRational,
     ce_report,
     concentratable_entanglement,
     purity,
@@ -107,8 +108,17 @@ def _check_budget(args: argparse.Namespace, log2: int, budget_log2: int, work: s
         raise UsageError(f"{args.command} would {work.format(log2)}, over the budget of 2^{budget_log2}{hint}")
 
 
-def _fmt(value: DyadicRational, decimal: bool) -> str:
-    return value.decimal_str() if decimal else str(value)
+def _log2_den(value: Fraction) -> int:
+    return value.denominator.bit_length() - 1
+
+
+def _fmt(value: Fraction, decimal: bool) -> str:
+    """The value as "21/32" or, with `decimal`, as its exact expansion "0.65625" (num/2^q = num*5^q/10^q)."""
+    if not decimal:
+        return str(value)
+    q = _log2_den(value)
+    digits = str(value.numerator * 5**q).rjust(q + 1, "0")
+    return f"{digits[:-q]}.{digits[-q:]}" if q else digits
 
 
 def _labels_1idx(members) -> str:
@@ -130,12 +140,12 @@ def _record_row(rec: survey.SurveyRecord, fields: Sequence[str], decimal: bool) 
         "n": rec.n,
         "ce": _fmt(rec.ce, decimal),
         "ce_num": rec.ce.numerator,
-        "ce_log2_den": rec.ce.log2_denominator,
+        "ce_log2_den": _log2_den(rec.ce),
         "achieves_min": rec.achieves_min,
         "achieves_max": rec.achieves_max,
         "distinct_purities": rec.distinct_purities,
         "core_ce_num": "" if core is None else core.numerator,
-        "core_ce_log2_den": "" if core is None else core.log2_denominator,
+        "core_ce_log2_den": "" if core is None else _log2_den(core),
     }
     return {f: row[f] for f in fields}
 
@@ -166,8 +176,10 @@ def _emit_rows(fields: Sequence[str], rows: list[dict[str, object]], fmt: str, o
 
 def _cmd_ce(args: argparse.Namespace, out) -> int:
     graph = _load_graph(args)
-    subset = _parse_labels(args.subset, graph.n) if args.subset else None
-    _check_budget(args, len(subset) if subset else graph.n, CE_BUDGET_LOG2, _VISIT)
+    subset = _parse_labels(args.subset, graph.n) if args.subset is not None else None
+    # the kernel visits 2^(|s| - cut_rank(s)) elements, all 2^n for the full set
+    visit_log2 = len(subset) - cut_rank(graph, subset.members) if subset else graph.n
+    _check_budget(args, visit_log2, CE_BUDGET_LOG2, _VISIT)
     if args.format == "plain":  # the other formats carry graph6, which caps n at 62
         out.write(_fmt(concentratable_entanglement(graph, subset or range(graph.n)), args.decimal) + "\n")
         return 0
@@ -195,7 +207,7 @@ def _cmd_purity(args: argparse.Namespace, out) -> int:
     graph = _load_graph(args)
     if (args.subset is None) == (args.cut is None):
         raise UsageError("purity needs exactly one of --subset or --cut")
-    b_set = _parse_labels(args.subset, graph.n) if args.subset else _parse_cut(args.cut, graph.n)
+    b_set = _parse_labels(args.subset, graph.n) if args.subset is not None else _parse_cut(args.cut, graph.n)
     out.write(_fmt(purity(graph, b_set), args.decimal) + "\n")
     return 0
 
@@ -233,7 +245,7 @@ def _cmd_spectrum(args: argparse.Namespace, out) -> int:
             for p_value, count in spectrum.purity_tally(m):
                 rows.append({
                     "m": m,
-                    "schmidt_rank": p_value.log2_denominator,
+                    "schmidt_rank": _log2_den(p_value),
                     "purity": _fmt(p_value, args.decimal),
                     "count": count,
                 })

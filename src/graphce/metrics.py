@@ -1,13 +1,14 @@
 """Exact purities, Schmidt ranks and Concentratable Entanglement of graph states.
 
-Every value here is a dyadic rational computed with integer arithmetic; no
-floating point enters this module.  The reduced-state purity across a cut is
-1/k with k the number of distinct post-trace-out generator sets, which equals
-2^r with r the GF(2) cut-rank of the bipartition (``graphs.cut_rank``); CE
-comes from one count of the stabilizer elements by weight (``_weights``).
-Both run the one GF(2) elimination, ``graphs._eliminate``.  The weight count
-is bit-sliced: one Python int holds one bit per stabilizer element, for up
-to 2^20 elements at a time, and a bit-sliced counter tallies their weights.
+Every value here is a ``Fraction`` with a power-of-two denominator, computed
+with integer arithmetic; no floating point enters this module.  The
+reduced-state purity across a cut is 1/k with k the number of distinct
+post-trace-out generator sets, which equals 2^r with r the GF(2) cut-rank of
+the bipartition (``graphs.cut_rank``); CE comes from one count of the
+stabilizer elements by weight (``_weights``).  Both run the one GF(2)
+elimination, ``graphs._eliminate``.  The weight count is bit-sliced: one
+Python int holds one bit per stabilizer element, for up to 2^20 elements at a
+time, and a bit-sliced counter tallies their weights.
 """
 
 from __future__ import annotations
@@ -24,92 +25,6 @@ from .graphs import Graph, QubitSet, _eliminate, cut_rank, is_connected, write_g
 
 class DisconnectedGraphWarning(UserWarning):
     """Metric evaluated on a disconnected graph; closed forms may not apply."""
-
-
-@dataclass(frozen=True)
-class DyadicRational:
-    """Exact non-negative value numerator / 2^log2_denominator, kept in lowest terms."""
-
-    numerator: int
-    log2_denominator: int = 0
-
-    def __post_init__(self) -> None:
-        num, q = self.numerator, self.log2_denominator
-        if num < 0 or q < 0:
-            raise ValueError(f"invalid dyadic rational {num}/2^{q}")
-        if num == 0:
-            q = 0
-        else:
-            strip = min(q, (num & -num).bit_length() - 1)
-            num >>= strip
-            q -= strip
-        object.__setattr__(self, "numerator", num)
-        object.__setattr__(self, "log2_denominator", q)
-
-    @staticmethod
-    def _coerce(value) -> DyadicRational:
-        if isinstance(value, DyadicRational):
-            return value
-        if isinstance(value, int):
-            return DyadicRational(value)
-        raise TypeError(f"cannot mix DyadicRational with {type(value).__name__}")
-
-    def __sub__(self, other) -> DyadicRational:
-        o = self._coerce(other)
-        q = max(self.log2_denominator, o.log2_denominator)
-        num = (self.numerator << (q - self.log2_denominator)) - (o.numerator << (q - o.log2_denominator))
-        return DyadicRational(num, q)
-
-    def __rsub__(self, other) -> DyadicRational:
-        return self._coerce(other) - self
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, int):  # not through _coerce, which refuses negative ints
-            return self.log2_denominator == 0 and self.numerator == other
-        if isinstance(other, DyadicRational):
-            return (self.numerator, self.log2_denominator) == (other.numerator, other.log2_denominator)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        """Equal values hash equal; an integral value hashes as its int."""
-        q = self.log2_denominator
-        return hash(self.numerator) if q == 0 else hash((self.numerator, q))
-
-    def _cmp_key(self, other: DyadicRational) -> tuple[int, int]:
-        return (self.numerator << other.log2_denominator, other.numerator << self.log2_denominator)
-
-    def __lt__(self, other) -> bool:
-        a, b = self._cmp_key(self._coerce(other))
-        return a < b
-
-    def __le__(self, other) -> bool:
-        a, b = self._cmp_key(self._coerce(other))
-        return a <= b
-
-    def __gt__(self, other) -> bool:
-        return self._coerce(other) < self
-
-    def __ge__(self, other) -> bool:
-        return self._coerce(other) <= self
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.numerator, 1 << self.log2_denominator)
-
-    def __float__(self) -> float:
-        return self.numerator / (1 << self.log2_denominator)
-
-    def __str__(self) -> str:
-        if self.log2_denominator == 0:
-            return str(self.numerator)
-        return f"{self.numerator}/{1 << self.log2_denominator}"
-
-    def decimal_str(self) -> str:
-        """Exact decimal expansion (denominators are powers of two, so it terminates)."""
-        q = self.log2_denominator
-        digits = str(self.numerator * 5**q).rjust(q + 1, "0")
-        if q == 0:
-            return digits
-        return f"{digits[:-q]}.{digits[-q:]}"
 
 
 def _check_connected(graph: Graph) -> bool:
@@ -131,11 +46,11 @@ def _as_qubitset(universe: int, value: QubitSet | Iterable[int]) -> QubitSet:
     return QubitSet.from_members(universe, value)
 
 
-def purity(graph: Graph, b: QubitSet | Iterable[int]) -> DyadicRational:
+def purity(graph: Graph, b: QubitSet | Iterable[int]) -> Fraction:
     """Tr rho_B^2 = 2^-r, with r the cut-rank of (B, complement)."""
     b_set = _as_qubitset(graph.n, b)
     _check_connected(graph)
-    return DyadicRational(1, cut_rank(graph, b_set.members))
+    return Fraction(1, 1 << cut_rank(graph, b_set.members))
 
 
 def schmidt_rank(graph: Graph, b: QubitSet | Iterable[int]) -> int:
@@ -158,9 +73,9 @@ class PuritySpectrum:
     def counts_at(self, m: int) -> dict[int, int]:
         return dict(self.levels[m])
 
-    def purity_tally(self, m: int) -> list[tuple[DyadicRational, int]]:
+    def purity_tally(self, m: int) -> list[tuple[Fraction, int]]:
         """(purity, count) pairs at level m, smallest purity first."""
-        return [(DyadicRational(1, r), c) for r, c in sorted(self.levels[m], reverse=True)]
+        return [(Fraction(1, 1 << r), c) for r, c in sorted(self.levels[m], reverse=True)]
 
 
 def _level_cuts(n: int, m: int) -> Iterator[int]:
@@ -333,7 +248,7 @@ def _weights(graph: Graph, s: int) -> list[int]:
     return counts
 
 
-def _ce(graph: Graph, s: int) -> DyadicRational:
+def _ce(graph: Graph, s: int) -> Fraction:
     """CE of the vertex mask s from its stabilizer weight counts.
 
     Tr rho_A^2 = |S_A| / 2^|A| with S_A the stabilizer elements supported in A;
@@ -344,17 +259,17 @@ def _ce(graph: Graph, s: int) -> DyadicRational:
     if k == 0:
         raise ValueError("Concentratable Entanglement requires a non-empty qubit set")
     acc = sum(c * 3 ** (k - w) for w, c in enumerate(_weights(graph, s)))
-    return DyadicRational((1 << (2 * k)) - acc, 2 * k)
+    return Fraction((1 << (2 * k)) - acc, 1 << (2 * k))
 
 
-def concentratable_entanglement(graph: Graph, s: QubitSet | Iterable[int]) -> DyadicRational:
+def concentratable_entanglement(graph: Graph, s: QubitSet | Iterable[int]) -> Fraction:
     """1 - 2^-|s| times the sum of reduced purities over every subset of s."""
     ce = _ce(graph, _as_qubitset(graph.n, s).members)
     _check_connected(graph)
     return ce
 
 
-def ce_bounds(n: int) -> tuple[DyadicRational, DyadicRational]:
+def ce_bounds(n: int) -> tuple[Fraction, Fraction]:
     """Theoretical (min, max) of full-set CE for connected graph states of n qubits.
 
     The minimum holds every reduced purity at 1/2; the maximum holds every
@@ -362,16 +277,16 @@ def ce_bounds(n: int) -> tuple[DyadicRational, DyadicRational]:
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    lo = DyadicRational((1 << (n - 1)) - 1, n)
+    lo = Fraction((1 << (n - 1)) - 1, 1 << n)
     acc = sum(math.comb(n, j) << (n - min(j, n - j)) for j in range(n + 1))
-    return lo, DyadicRational((1 << (2 * n)) - acc, 2 * n)
+    return lo, Fraction((1 << (2 * n)) - acc, 1 << (2 * n))
 
 
-def snowflake_subset_ce(n: int) -> DyadicRational:
+def snowflake_subset_ce(n: int) -> Fraction:
     """Closed form 1 - (3/4)^n for pair-free n-qubit subsets of a 2n-qubit snowflake."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    return DyadicRational((1 << (2 * n)) - 3**n, 2 * n)
+    return Fraction((1 << (2 * n)) - 3**n, 1 << (2 * n))
 
 
 @dataclass(frozen=True)
@@ -381,9 +296,9 @@ class CEReport:
     graph6: str
     n: int
     subset: tuple[int, ...]
-    ce: DyadicRational
-    bound_min: DyadicRational
-    bound_max: DyadicRational
+    ce: Fraction
+    bound_min: Fraction
+    bound_max: Fraction
     connected: bool
     achieves_min: bool
     achieves_max: bool

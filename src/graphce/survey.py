@@ -20,6 +20,7 @@ Surveys and family sweeps return `SurveyRecord` values; `cli` writes them out.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .graphs import (
@@ -31,7 +32,7 @@ from .graphs import (
     is_connected,
     write_graph6,
 )
-from .metrics import DyadicRational, _ce, _level_cuts, ce_bounds
+from .metrics import _ce, _level_cuts, ce_bounds
 
 ENUMERATION_MAX_VERTICES = 8
 STRETCH_MIN_VERTICES = 7
@@ -43,13 +44,13 @@ class SurveyRecord:
 
     graph6: str
     n: int
-    ce: DyadicRational
+    ce: Fraction
     distinct_purities: int
     achieves_min: bool
     achieves_max: bool
     kind: str | None = None
     size: int | None = None
-    core_subset_ce: DyadicRational | None = None
+    core_subset_ce: Fraction | None = None
 
 
 def _children(rows: tuple[int, ...], cols: list[int], connected: bool) -> Iterator[tuple[tuple[int, ...], list[int]]]:
@@ -127,7 +128,7 @@ def ce_survey(n: int, *, stretch: bool = False) -> list[SurveyRecord]:
     return records
 
 
-def distinct_ce_values(records: Iterable[SurveyRecord]) -> list[DyadicRational]:
+def distinct_ce_values(records: Iterable[SurveyRecord]) -> list[Fraction]:
     values = {r.ce for r in records}
     return sorted(values)
 

@@ -8,6 +8,7 @@ the stated 1e-10 tolerance.
 import io
 import random
 import time
+from fractions import Fraction
 
 import numpy as np
 
@@ -27,7 +28,6 @@ from graphce.graphs import (
     random_connected_graph,
 )
 from graphce.metrics import (
-    DyadicRational,
     concentratable_entanglement,
     purity,
     purity_spectrum,
@@ -55,9 +55,9 @@ def _report(number: int, name: str, ok: bool, elapsed: float, limit: float) -> N
 
 def test_criterion_1_graph_no13_goldens():
     start = time.perf_counter()
-    ok = concentratable_entanglement(NO13, range(6)) == DyadicRational(21, 5)
-    ok &= purity(NO13, [0, 1, 2, 4]) == DyadicRational(1, 2)
-    ok &= purity(NO13, [0, 1, 4]) == DyadicRational(1, 2)
+    ok = concentratable_entanglement(NO13, range(6)) == Fraction(21, 32)
+    ok &= purity(NO13, [0, 1, 2, 4]) == Fraction(1, 4)
+    ok &= purity(NO13, [0, 1, 4]) == Fraction(1, 4)
     ok &= rank_index(NO13, 2).counts == (12, 3)
     ok &= rank_index(NO13, 3).counts == (4, 4, 2)
     spectrum = purity_spectrum(NO13)
@@ -70,7 +70,7 @@ def test_criterion_1_graph_no13_goldens():
 def test_criterion_2_single_qubit_ce():
     start = time.perf_counter()
     rng = random.Random(2024)
-    quarter = DyadicRational(1, 2)
+    quarter = Fraction(1, 4)
     ok = True
     for _ in range(500):
         g = random_connected_graph(rng.randint(2, 10), rng)
@@ -83,7 +83,7 @@ def test_criterion_3_minimum_families():
     start = time.perf_counter()
     ok = True
     for n in range(3, 10):
-        expected = DyadicRational(1, 1) - DyadicRational(1, n)
+        expected = Fraction(1, 2) - Fraction(1, 1 << n)
         ok &= concentratable_entanglement(family("star", n), range(n)) == expected
         ok &= concentratable_entanglement(family("complete", n), range(n)) == expected
     _report(3, "star/complete CE = 1/2 - 2^-n for n = 3..9", ok, time.perf_counter() - start, 30.0)

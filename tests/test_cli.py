@@ -175,6 +175,12 @@ def test_bad_graph6_message(capsys):
     assert "byte offset" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["ce", "purity"])
+def test_empty_subset_is_a_usage_error(command, capsys):
+    assert invoke([command, "--graph6", "Bw", "--subset", ""]) == (2, "")
+    assert capsys.readouterr().err == "error: empty qubit subset\n"
+
+
 def test_subset_out_of_range_names_label(no13_path, capsys):
     out = io.StringIO()
     assert run(["ce", "--edges", no13_path, "--subset", "7"], out=out) == 2
@@ -281,9 +287,22 @@ def test_no_budget_opts_in(monkeypatch, capsys):
     assert "ce would visit 2^6 stabilizer elements, over the budget of 2^4" in capsys.readouterr().err
     assert invoke(["ce", "--family", "star", "--size", "6", "--no-budget"]) == (0, "31/64\n")
     assert invoke(["ce", "--family", "star", "--size", "6", "--subset", "1,2,3,4"]) == (0, "15/32\n")
-    assert invoke(["ce", "--family", "star", "--size", "6", "--subset", "1,2,3,4,5"])[0] == 2
+    # five qubits with one neighbour outside: the kernel visits 2^(5 - 1) elements, within the budget
+    assert invoke(["ce", "--family", "star", "--size", "6", "--subset", "1,2,3,4,5"]) == (0, "31/64\n")
     assert invoke(["spectrum", "--family", "star", "--size", "6"])[0] == 2
     assert invoke(["spectrum", "--family", "star", "--size", "6", "--no-budget"])[0] == 0
+
+
+def test_subset_budget_charges_the_elements_the_kernel_visits(capsys):
+    # 2^(|s| - cut_rank(s)): the 30 odd qubits of a 100-ring have cut rank 30, so only the
+    # identity is supported inside them and CE = 1 - (3/4)^30
+    odd = ",".join(str(label) for label in range(1, 60, 2))
+    assert invoke(["ce", "--family", "ring", "--size", "100", "--subset", odd]) == (
+        0, "1152715613474752327/1152921504606846976\n")
+    # 30 qubits of K_40 have cut rank 1
+    first30 = ",".join(str(label) for label in range(1, 31))
+    assert invoke(["ce", "--family", "complete", "--size", "40", "--subset", first30]) == (2, "")
+    assert "ce would visit 2^29 stabilizer elements, over the budget of 2^26" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("family, size, ce", [

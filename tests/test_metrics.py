@@ -1,4 +1,4 @@
-"""Tests for dyadic rationals, purities, CE, rank indices and bounds."""
+"""Tests for exact values, purities, CE, rank indices and bounds."""
 
 import random
 from fractions import Fraction
@@ -7,10 +7,10 @@ from itertools import combinations
 import pytest
 
 from graphce import survey
+from graphce.cli import _fmt
 from graphce.graphs import QubitSet, family, from_edges, random_connected_graph
 from graphce.metrics import (
     DisconnectedGraphWarning,
-    DyadicRational,
     ce_bounds,
     ce_report,
     concentratable_entanglement,
@@ -24,66 +24,60 @@ from graphce.metrics import (
 NO13 = from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5)])
 
 
-# --- DyadicRational ---------------------------------------------------------
-
-
-def test_dyadic_normalisation():
-    d = DyadicRational(6, 3)  # 6/8
-    assert (d.numerator, d.log2_denominator) == (3, 2)
-    assert DyadicRational(0, 7) == DyadicRational(0)
+# --- exact values --------------------------------------------------------------
 
 
 def test_dyadic_arithmetic():
-    half = DyadicRational(1, 1)
-    quarter = DyadicRational(1, 2)
+    half, quarter = purity(NO13, [0]), purity(NO13, [0, 1, 4])
     assert half - quarter == quarter
-    assert 1 - quarter == DyadicRational(3, 2)
-
-
-def test_dyadic_rejects_negative():
-    with pytest.raises(ValueError):
-        DyadicRational(1, 2) - DyadicRational(1, 1)
+    assert 1 - quarter == Fraction(3, 4)
+    assert quarter - half == Fraction(-1, 4)
 
 
 def test_dyadic_comparisons():
-    values = [DyadicRational(21, 5), DyadicRational(1, 2), DyadicRational(1, 0), DyadicRational(0)]
+    values = [concentratable_entanglement(NO13, range(6)), purity(NO13, [0, 1, 4]), purity(NO13, []), ce_bounds(1)[0]]
     assert sorted(values) == [values[3], values[1], values[0], values[2]]
-    assert DyadicRational(21, 5) > DyadicRational(1, 1)
+    assert values[0] > purity(NO13, [0])
+    # ordering against any int, negative ones too
+    assert values[1] > -1 and values[1] >= -1 and not values[1] < -1 and values[1] != -1
+    assert -1 < values[3] == 0 < values[2] == 1
 
 
 def test_dyadic_strings():
-    assert str(DyadicRational(21, 5)) == "21/32"
-    assert str(DyadicRational(1, 0)) == "1"
-    assert str(DyadicRational(0)) == "0"
-    assert DyadicRational(21, 5).decimal_str() == "0.65625"
-    assert DyadicRational(1, 1).decimal_str() == "0.5"
-    assert DyadicRational(3, 1).decimal_str() == "1.5"
-    assert DyadicRational(5, 0).decimal_str() == "5"
+    assert str(concentratable_entanglement(NO13, range(6))) == "21/32"
+    assert str(purity(NO13, [])) == "1"
+    assert str(ce_bounds(1)[0]) == "0"
+    assert _fmt(Fraction(21, 32), True) == "0.65625"
+    assert _fmt(Fraction(1, 2), True) == "0.5"
+    assert _fmt(Fraction(3, 2), True) == "1.5"
+    assert _fmt(Fraction(5), True) == "5"
+    assert _fmt(Fraction(0), True) == "0"
+    assert _fmt(Fraction(1, 1 << 10), True) == "0.0009765625"
 
 
 def test_dyadic_fraction_and_float():
-    assert DyadicRational(21, 5).as_fraction() == Fraction(21, 32)
-    assert float(DyadicRational(1, 2)) == 0.25
+    assert type(concentratable_entanglement(NO13, range(6))) is Fraction
+    assert float(purity(NO13, [0, 1, 4])) == 0.25
 
 
 # --- purity / schmidt rank ---------------------------------------------------
 
 
 def test_purity_no13_golden():
-    assert purity(NO13, [0, 1, 2, 4]) == DyadicRational(1, 2)
-    assert purity(NO13, [0, 1, 4]) == DyadicRational(1, 2)
+    assert purity(NO13, [0, 1, 2, 4]) == Fraction(1, 4)
+    assert purity(NO13, [0, 1, 4]) == Fraction(1, 4)
 
 
 def test_purity_trivial_cuts():
-    assert purity(NO13, range(6)) == DyadicRational(1)
-    assert purity(NO13, []) == DyadicRational(1)
+    assert purity(NO13, range(6)) == Fraction(1)
+    assert purity(NO13, []) == Fraction(1)
 
 
 def test_purity_single_qubit_is_half():
     rng = random.Random(61)
     for _ in range(40):
         g = random_connected_graph(rng.randint(2, 10), rng)
-        assert purity(g, [rng.randrange(g.n)]) == DyadicRational(1, 1)
+        assert purity(g, [rng.randrange(g.n)]) == Fraction(1, 2)
 
 
 def test_purity_complement_symmetry_exhaustive():
@@ -106,7 +100,7 @@ def test_purity_bounds_for_connected_graphs():
                 continue
             b = QubitSet(g.n, members)
             value = purity(g, b)
-            assert DyadicRational(1, min(len(b), g.n - len(b))) <= value <= DyadicRational(1, 1)
+            assert Fraction(1, 1 << min(len(b), g.n - len(b))) <= value <= Fraction(1, 2)
 
 
 def test_schmidt_rank():
@@ -119,7 +113,7 @@ def test_schmidt_rank():
 
 
 def test_ce_no13_full_set():
-    assert concentratable_entanglement(NO13, range(6)) == DyadicRational(21, 5)
+    assert concentratable_entanglement(NO13, range(6)) == Fraction(21, 32)
 
 
 def test_ce_single_qubit_quarter():
@@ -127,12 +121,12 @@ def test_ce_single_qubit_quarter():
     for _ in range(30):
         g = random_connected_graph(rng.randint(2, 10), rng)
         a = rng.randrange(g.n)
-        assert concentratable_entanglement(g, [a]) == DyadicRational(1, 2)
+        assert concentratable_entanglement(g, [a]) == Fraction(1, 4)
 
 
 def test_ce_star_and_complete_closed_form():
     for n in range(3, 10):
-        expected = DyadicRational(1, 1) - DyadicRational(1, n)
+        expected = Fraction(1, 2) - Fraction(1, 1 << n)
         assert concentratable_entanglement(family("star", n), range(n)) == expected
         assert concentratable_entanglement(family("complete", n), range(n)) == expected
 
@@ -146,7 +140,7 @@ def test_ce_linear4_dense_derived():
     total = sum(dense_purity(state, QubitSet(4, members)) for members in range(16))
     oracle_value = 1.0 - total / 16.0
     assert abs(oracle_value - 0.5) < 1e-12
-    assert concentratable_entanglement(g, range(4)) == DyadicRational(1, 1)
+    assert concentratable_entanglement(g, range(4)) == Fraction(1, 2)
 
 
 def test_ce_empty_subset_rejected():
@@ -159,9 +153,9 @@ def test_ce_spectrum_shortcut_matches_direct_sum():
 
     for n in range(2, 8):
         for g in enumerate_connected(n, stretch=n >= 7):
-            direct = sum(purity(g, QubitSet(n, members)).as_fraction() for members in range(1 << n))
+            direct = sum(purity(g, QubitSet(n, members)) for members in range(1 << n))
             expected = 1 - direct / 2**n
-            assert concentratable_entanglement(g, range(n)).as_fraction() == expected
+            assert concentratable_entanglement(g, range(n)) == expected
 
 
 def test_ce_disconnected_graph_warns_but_computes():
@@ -169,7 +163,7 @@ def test_ce_disconnected_graph_warns_but_computes():
     with pytest.warns(DisconnectedGraphWarning):
         value = concentratable_entanglement(g, range(4))
     # two independent Bell pairs: CE = 1 - (6/4)^2 / 4
-    assert value == DyadicRational(7, 4)
+    assert value == Fraction(7, 16)
 
 
 # --- rank index / spectrum ----------------------------------------------------
@@ -194,12 +188,12 @@ def test_rank_index_range_check():
 
 def test_purity_spectrum_no13_tallies():
     spectrum = purity_spectrum(NO13)
-    assert spectrum.purity_tally(1) == [(DyadicRational(1, 1), 6)]
-    assert spectrum.purity_tally(2) == [(DyadicRational(1, 2), 12), (DyadicRational(1, 1), 3)]
+    assert spectrum.purity_tally(1) == [(Fraction(1, 2), 6)]
+    assert spectrum.purity_tally(2) == [(Fraction(1, 4), 12), (Fraction(1, 2), 3)]
     assert spectrum.purity_tally(3) == [
-        (DyadicRational(1, 3), 4),
-        (DyadicRational(1, 2), 4),
-        (DyadicRational(1, 1), 2),
+        (Fraction(1, 8), 4),
+        (Fraction(1, 4), 4),
+        (Fraction(1, 2), 2),
     ]
     assert survey._record(NO13).distinct_purities == 3
 
@@ -218,17 +212,17 @@ def test_purity_spectrum_counts_match_binomials():
 
 def test_purity_spectrum_k2():
     spectrum = purity_spectrum(from_edges(2, [(0, 1)]))
-    assert spectrum.purity_tally(1) == [(DyadicRational(1, 1), 1)]
+    assert spectrum.purity_tally(1) == [(Fraction(1, 2), 1)]
 
 
 # --- bounds and closed forms ----------------------------------------------------
 
 
 def test_ce_bounds_small_n():
-    assert ce_bounds(2) == (DyadicRational(1, 2), DyadicRational(1, 2))
-    assert ce_bounds(3) == (DyadicRational(3, 3), DyadicRational(3, 3))
-    assert ce_bounds(4)[1] == DyadicRational(17, 5)
-    assert ce_bounds(5)[1] == DyadicRational(5, 3)
+    assert ce_bounds(2) == (Fraction(1, 4), Fraction(1, 4))
+    assert ce_bounds(3) == (Fraction(3, 8), Fraction(3, 8))
+    assert ce_bounds(4)[1] == Fraction(17, 32)
+    assert ce_bounds(5)[1] == Fraction(5, 8)
 
 
 def test_ce_within_bounds_for_connected_graphs():
@@ -241,9 +235,9 @@ def test_ce_within_bounds_for_connected_graphs():
 
 
 def test_snowflake_subset_ce_closed_form():
-    assert snowflake_subset_ce(1) == DyadicRational(1, 2)
-    assert snowflake_subset_ce(2) == DyadicRational(7, 4)
-    assert snowflake_subset_ce(8) == DyadicRational(65536 - 6561, 16)
+    assert snowflake_subset_ce(1) == Fraction(1, 4)
+    assert snowflake_subset_ce(2) == Fraction(7, 16)
+    assert snowflake_subset_ce(8) == Fraction(65536 - 6561, 1 << 16)
 
 
 def test_snowflake_core_and_pendant_match_closed_form():
@@ -268,7 +262,7 @@ def test_snowflake2_core_ce_dense_derived():
         total += dense_purity(state, QubitSet.from_members(4, alpha))
     oracle_value = 1.0 - total / 4.0
     assert abs(oracle_value - 7 / 16) < 1e-12
-    assert snowflake_subset_ce(2) == DyadicRational(7, 4)
+    assert snowflake_subset_ce(2) == Fraction(7, 16)
 
 
 def test_ring_vs_linear_ordering():
@@ -284,7 +278,7 @@ def test_ring_vs_linear_ordering():
 
 def test_ce_report_full_set():
     report = ce_report(NO13)
-    assert report.ce == DyadicRational(21, 5)
+    assert report.ce == Fraction(21, 32)
     assert report.subset == (0, 1, 2, 3, 4, 5)
     assert report.connected
     assert not report.achieves_min and not report.achieves_max
@@ -292,8 +286,8 @@ def test_ce_report_full_set():
 
 def test_ce_report_subset():
     report = ce_report(NO13, [0])
-    assert report.ce == DyadicRational(1, 2)
+    assert report.ce == Fraction(1, 4)
     # full-set bounds for size 1 are (0, 0); subset CE legitimately exceeds them
-    assert report.bound_min == DyadicRational(0)
-    assert report.bound_max == DyadicRational(0)
+    assert report.bound_min == Fraction(0)
+    assert report.bound_max == Fraction(0)
     assert not report.achieves_min and not report.achieves_max

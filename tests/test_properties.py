@@ -1,4 +1,4 @@
-"""Property tests: cut-rank against the enumeration oracle, DyadicRational and CE sums against Fraction,
+"""Property tests: cut-rank against the enumeration oracle, the CLI's decimal format and CE sums against Fraction,
 stabilizer weight counts against brute-force enumeration, the bitset graph readers and writers
 against pair-by-pair reference loops, and the edge-list parser against a per-line one."""
 
@@ -31,7 +31,8 @@ from graphce.graphs import (
     write_graph6,
 )
 from graphce import metrics
-from graphce.metrics import _CHUNK_LOG2, DyadicRational, _ce, _level_rank_counts, _sweep, _weights, ce_bounds
+from graphce.cli import _fmt
+from graphce.metrics import _CHUNK_LOG2, _ce, _level_rank_counts, _sweep, _weights, ce_bounds
 from graphce.stabilizer import count_distinct_sets
 from graphce.survey import _middle_rank
 
@@ -74,34 +75,17 @@ def test_cut_rank_is_submodular(case):
     assert cut_rank(g, x) + cut_rank(g, y) >= cut_rank(g, x | y) + cut_rank(g, x & y)
 
 
-dyadics = st.builds(DyadicRational, st.integers(0, 1 << 40), st.integers(0, 40))
+dyadics = st.builds(lambda num, q: Fraction(num, 1 << q), st.integers(0, 1 << 40), st.integers(0, 40))
 
 
 @settings(max_examples=300, deadline=None)
-@given(dyadics, dyadics)
-def test_dyadic_matches_fraction(x, y):
-    fx, fy = x.as_fraction(), y.as_fraction()
-    assert (x < y) == (fx < fy)
-    assert (x <= y) == (fx <= fy)
-    assert (x > y) == (fx > fy)
-    assert (x >= y) == (fx >= fy)
-    assert (x == y) == (fx == fy)
-    # the same value with y's denominator exponent on top normalises back to x
-    same = DyadicRational(x.numerator << y.log2_denominator, x.log2_denominator + y.log2_denominator)
-    assert same == x and hash(same) == hash(x)
-    assert same <= x and same >= x and not same < x and not same > x
-    assert (x < 1) == (fx < 1)
-    for k in (-1, 0, 1, int(fx), int(fx) + 1):
-        assert (x == k) == (fx == k) and (k == x) == (k == fx) and (x != k) == (fx != k)
-        if k >= 0:
-            assert hash(DyadicRational(k)) == hash(k) and {DyadicRational(k): 0}.get(k) == 0
-    if fx <= 1:
-        assert (1 - x).as_fraction() == 1 - fx
-    if fx >= fy:
-        assert (x - y).as_fraction() == fx - fy
-    else:
-        with pytest.raises(ValueError):
-            x - y
+@given(dyadics)
+def test_fmt_round_trips_dyadic_fractions(x):
+    decimal = _fmt(x, True)
+    assert Fraction(decimal) == x
+    assert _fmt(x, False) == str(x)
+    assert "." not in decimal or not decimal.endswith("0")
+    assert decimal.count(".") == (x.denominator > 1)
 
 
 walk_graphs = st.integers(1, 11).flatmap(
@@ -116,7 +100,7 @@ def test_ce_walk_matches_fraction_sum_of_cut_rank_purities(case):
     members = [v for v in range(g.n) if (s >> v) & 1]
     subsets = [sum(1 << v for i, v in enumerate(members) if (sub >> i) & 1) for sub in range(1 << len(members))]
     purity_sum = sum(Fraction(1, 1 << cut_rank(g, a)) for a in subsets)
-    assert _ce(g, s).as_fraction() == 1 - purity_sum / (1 << len(members))
+    assert _ce(g, s) == 1 - purity_sum / (1 << len(members))
     assert sum(_weights(g, s)) == 1 << (len(members) - cut_rank(g, s))  # the kernel of the cut map
 
 
@@ -184,8 +168,8 @@ def test_proper_cut_ranks_are_one_to_the_middle_level_max(g):
 def test_ce_bounds_match_fraction_sums():
     for n in range(1, 64):
         lo, hi = ce_bounds(n)
-        assert lo.as_fraction() == Fraction(1, 2) - Fraction(1, 1 << n)
-        assert hi.as_fraction() == 1 - sum(Fraction(math.comb(n, j), 1 << min(j, n - j)) for j in range(n + 1)) / (1 << n)
+        assert lo == Fraction(1, 2) - Fraction(1, 1 << n)
+        assert hi == 1 - sum(Fraction(math.comb(n, j), 1 << min(j, n - j)) for j in range(n + 1)) / (1 << n)
 
 
 # --- graph construction against pair-by-pair references -------------------------

@@ -2,6 +2,7 @@
 
 import io
 import random
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
@@ -19,7 +20,6 @@ from graphce.graphs import (
     write_graph6,
 )
 from graphce.metrics import (
-    DyadicRational,
     ce_bounds,
     concentratable_entanglement,
     purity_spectrum,
@@ -108,7 +108,7 @@ def test_ce_survey_n3_single_value():
 def test_ce_survey_n6_contains_21_32():
     records = ce_survey(6)
     assert len(records) == 112
-    assert DyadicRational(21, 5) in {r.ce for r in records}
+    assert Fraction(21, 32) in {r.ce for r in records}
 
 
 def test_ce_survey_n7_distinct_values():
@@ -152,7 +152,7 @@ def test_max_achievers_match_records():
 def test_family_sweep_star_minimum():
     records = family_sweep("star", range(3, 10))
     for rec in records:
-        assert rec.ce == DyadicRational(1, 1) - DyadicRational(1, rec.n)
+        assert rec.ce == Fraction(1, 2) - Fraction(1, 1 << rec.n)
         assert rec.achieves_min
 
 
