@@ -19,14 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .graphs import Graph, QubitSet, induced_subgraph
-from .stabilizer import (
-    GF2Vector,
-    OutcomeBitstring,
-    PauliGenerator,
-    graph_generators,
-    measure_z,
-    unitary_support,
-)
+from .stabilizer import OutcomeBitstring, graph_generators, measure_z, unitary_support
 
 DENSE_MAX_QUBITS = 14
 MEASURE_MAX_QUBITS = 12
@@ -88,22 +81,22 @@ def build_state(graph: Graph) -> StateVector:
     return StateVector(n, amps.astype(np.complex128))
 
 
-def _apply(amps: np.ndarray, gen: PauliGenerator) -> np.ndarray:
-    """sign * prod X^x Z^z applied along the last axis of amps."""
-    n = gen.n
-    src = _indices(n) ^ np.uint64(_index_mask(gen.x_bits.bits, n))
-    signs = 1.0 - 2.0 * _parity(src & np.uint64(_index_mask(gen.z_bits.bits, n)))
-    return gen.sign * signs * amps[..., src]
+def _apply(amps: np.ndarray, gen: tuple[int, int, int], n: int) -> np.ndarray:
+    """sign * prod X^x Z^z, for gen = (sign, x, z) on n qubits, applied along the last axis of amps."""
+    sign, x, z = gen
+    src = _indices(n) ^ np.uint64(_index_mask(x, n))
+    signs = 1.0 - 2.0 * _parity(src & np.uint64(_index_mask(z, n)))
+    return sign * signs * amps[..., src]
 
 
-def apply_generator(state: StateVector, gen: PauliGenerator) -> StateVector:
-    """Apply a signed Pauli string sign * prod X^x Z^z to the state."""
-    if gen.n != state.n:
-        raise ValueError(f"generator width {gen.n} != state width {state.n}")
-    return StateVector(state.n, _apply(state.amplitudes, gen))
+def apply_generator(state: StateVector, gen: tuple[int, int, int]) -> StateVector:
+    """Apply a signed Pauli string (sign, x, z), sign * prod X^x Z^z, to the state."""
+    if (gen[1] | gen[2]) >> state.n:
+        raise ValueError(f"generator acts beyond the {state.n} qubits of the state")
+    return StateVector(state.n, _apply(state.amplitudes, gen, state.n))
 
 
-def stabilizes(state: StateVector, gen: PauliGenerator, tol: float = STATE_TOL) -> bool:
+def stabilizes(state: StateVector, gen: tuple[int, int, int], tol: float = STATE_TOL) -> bool:
     """True iff the generator fixes the state: S|psi> = |psi> within tol."""
     out = apply_generator(state, gen)
     return bool(np.max(np.abs(out.amplitudes - state.amplitudes)) <= tol)
@@ -112,14 +105,14 @@ def stabilizes(state: StateVector, gen: PauliGenerator, tol: float = STATE_TOL) 
 def check_stabilizer(graph: Graph, tol: float = STATE_TOL) -> bool:
     """Every generator (and for n <= 6 every generator product) fixes |G>."""
     state = build_state(graph)
-    tableau = graph_generators(graph)
-    if not all(stabilizes(state, g, tol) for g in tableau.generators):
+    gens = graph_generators(graph).values()
+    if not all(stabilizes(state, g, tol) for g in gens):
         return False
     if graph.n <= 6:
         # row S of products is prod_{a in S} g_a |G>, applied in ascending a
         products = state.amplitudes[np.newaxis]
-        for gen in tableau.generators:
-            products = np.concatenate((products, _apply(products, gen)))
+        for gen in gens:
+            products = np.concatenate((products, _apply(products, gen, graph.n)))
         if np.max(np.abs(products - state.amplitudes)) > tol:
             return False
     return True
@@ -163,9 +156,7 @@ def outcome_state(graph: Graph, a_set: QubitSet, z: OutcomeBitstring) -> StateVe
     """U(z)|G-A> on the surviving qubits, relabelled in ascending order."""
     b_set = a_set.complement()
     sub = build_state(induced_subgraph(graph, b_set))
-    support = unitary_support(graph, a_set, z)
-    gen = PauliGenerator(1, GF2Vector(sub.n), GF2Vector(sub.n, support.bits))
-    return apply_generator(sub, gen)
+    return apply_generator(sub, (1, 0, unitary_support(graph, a_set, z).bits))
 
 
 def check_measurement_rule(graph: Graph, a: int, outcome: int, tol: float = MATCH_TOL) -> bool:
@@ -189,18 +180,12 @@ def check_measurement_rule(graph: Graph, a: int, outcome: int, tol: float = MATC
     if abs(overlap - 1.0) > tol:
         return False
 
-    tableau = measure_z(graph_generators(graph), a, outcome)
-    for q, g in zip(tableau.qubits, tableau.generators):
+    for q, (sign, x, z) in measure_z(graph_generators(graph), a, outcome).items():
         if q == a:
             continue
-        if (g.x_bits.bits >> a) & 1 or (g.z_bits.bits >> a) & 1:
+        if ((x | z) >> a) & 1:
             return False  # surviving generators must not touch the measured qubit
-        reduced = PauliGenerator(
-            g.sign,
-            GF2Vector(n - 1, _drop_bit(g.x_bits.bits, a)),
-            GF2Vector(n - 1, _drop_bit(g.z_bits.bits, a)),
-        )
-        if not stabilizes(projected, reduced, tol):
+        if not stabilizes(projected, (sign, _drop_bit(x, a), _drop_bit(z, a)), tol):
             return False
     return True
 

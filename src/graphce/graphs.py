@@ -80,6 +80,15 @@ class QubitSet:
         return "{" + ",".join(str(i) for i in self) + "}"
 
 
+def _as_qubitset(universe: int, value: QubitSet | Iterable[int]) -> QubitSet:
+    """`value` as a QubitSet over `universe`; a QubitSet over another universe is refused."""
+    if isinstance(value, QubitSet):
+        if value.universe != universe:
+            raise ValueError(f"qubit set universe {value.universe} != graph size {universe}")
+        return value
+    return QubitSet.from_members(universe, value)
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph; ``adj[v]`` is the neighbour bitmask of vertex v."""

@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Iterator
 
-from .graphs import Graph, QubitSet, _eliminate, cut_rank, is_connected, write_graph6
+from .graphs import Graph, QubitSet, _as_qubitset, _eliminate, cut_rank, is_connected, write_graph6
 
 
 class DisconnectedGraphWarning(UserWarning):
@@ -36,14 +36,6 @@ def _check_connected(graph: Graph) -> bool:
             stacklevel=3,
         )
     return connected
-
-
-def _as_qubitset(universe: int, value: QubitSet | Iterable[int]) -> QubitSet:
-    if isinstance(value, QubitSet):
-        if value.universe != universe:
-            raise ValueError(f"qubit set universe {value.universe} != graph size {universe}")
-        return value
-    return QubitSet.from_members(universe, value)
 
 
 def purity(graph: Graph, b: QubitSet | Iterable[int]) -> Fraction:

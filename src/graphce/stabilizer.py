@@ -6,13 +6,17 @@ the sign into every generator that carried Z on that qubit.  Tracing out a
 set A only ever changes the signs of the surviving generators, so counting
 distinct post-measurement generator sets reduces to counting distinct sign
 patterns over the 2^|A| outcomes.
+
+A signed Pauli string sign * prod_q X_q^(bit q of x) Z_q^(bit q of z) is the
+int triple (sign, x, z), with x and z vertex masks; a tableau is a dict from
+each qubit to its generator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, QubitSet, cut_rank
+from .graphs import Graph, QubitSet, _as_qubitset, cut_rank
 
 ENUMERATION_MAX_QUBITS = 20
 
@@ -43,62 +47,6 @@ class GF2Vector:
 
 
 @dataclass(frozen=True)
-class PauliGenerator:
-    """A signed Pauli string sign * prod_i X_i^{x} Z_i^{z} on n qubits."""
-
-    sign: int
-    x_bits: GF2Vector
-    z_bits: GF2Vector
-
-    def __post_init__(self) -> None:
-        if self.sign not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {self.sign}")
-        if self.x_bits.length != self.z_bits.length:
-            raise ValueError("x_bits and z_bits must have equal length")
-
-    @property
-    def n(self) -> int:
-        return self.x_bits.length
-
-    def __str__(self) -> str:
-        return pauli_str(self)
-
-
-def pauli_str(gen: PauliGenerator) -> str:
-    """Render in the 1-indexed textual style used for display, e.g. "-Z_2 X_3"."""
-    factors = []
-    for q in range(gen.n):
-        if gen.x_bits[q]:
-            factors.append(f"X_{q + 1}")
-        if gen.z_bits[q]:
-            factors.append(f"Z_{q + 1}")
-    body = " ".join(factors) if factors else "I"
-    return ("-" if gen.sign < 0 else "") + body
-
-
-@dataclass(frozen=True)
-class StabilizerTableau:
-    """An ordered list of commuting generators; generator i stabilizes qubits[i]."""
-
-    n: int
-    qubits: tuple[int, ...]
-    generators: tuple[PauliGenerator, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.qubits) != len(self.generators):
-            raise ValueError("one generator per listed qubit required")
-        for g in self.generators:
-            if g.n != self.n:
-                raise ValueError(f"generator width {g.n} != tableau width {self.n}")
-
-    def generator_for(self, qubit: int) -> PauliGenerator:
-        return self.generators[self.qubits.index(qubit)]
-
-    def __str__(self) -> str:
-        return "\n".join(f"S_{q + 1} = {pauli_str(g)}" for q, g in zip(self.qubits, self.generators))
-
-
-@dataclass(frozen=True)
 class OutcomeBitstring:
     """Z-measurement outcomes over a support set; bit 0 means +1, bit 1 means -1.
 
@@ -117,43 +65,35 @@ class OutcomeBitstring:
         return cls(support, GF2Vector(len(support), value))
 
 
-def graph_generators(graph: Graph) -> StabilizerTableau:
+def graph_generators(graph: Graph) -> dict[int, tuple[int, int, int]]:
     """The standard generators: X on each vertex, Z on its neighbourhood."""
-    n = graph.n
-    gens = tuple(
-        PauliGenerator(1, GF2Vector(n, 1 << a), GF2Vector(n, graph.adj[a]))
-        for a in range(n)
-    )
-    return StabilizerTableau(n, tuple(range(n)), gens)
+    return {a: (1, 1 << a, row) for a, row in enumerate(graph.adj)}
 
 
-def measure_z(tableau: StabilizerTableau, a: int, outcome: int) -> StabilizerTableau:
+def measure_z(tableau: dict[int, tuple[int, int, int]], a: int, outcome: int) -> dict[int, tuple[int, int, int]]:
     """Tableau after a Z measurement of qubit a with the given outcome (+1 or -1).
 
     The generator for a becomes +/-Z_a; every other generator carrying Z_a is
     multiplied by it, which clears that factor and, for outcome -1, flips the
-    sign.  Generators stay in qubit-label order.
+    sign.  Generators keep their qubit keys and order.
     """
     if outcome not in (1, -1):
         raise ValueError(f"outcome must be +1 or -1, got {outcome}")
-    if a not in tableau.qubits:
+    if a not in tableau:
         raise ValueError(f"qubit {a} not present in tableau")
-    n = tableau.n
     a_bit = 1 << a
-    own = tableau.generator_for(a)
-    if not own.x_bits.bits & a_bit:
+    if not tableau[a][1] & a_bit:
         raise ValueError(f"qubit {a} already measured")
-    new_gens = []
-    for q, g in zip(tableau.qubits, tableau.generators):
+    new = {}
+    for q, (sign, x, z) in tableau.items():
         if q == a:
-            new_gens.append(PauliGenerator(outcome, GF2Vector(n), GF2Vector(n, a_bit)))
-        elif g.z_bits.bits & a_bit:
-            if g.x_bits.bits & a_bit:
+            sign, x, z = outcome, 0, a_bit
+        elif z & a_bit:
+            if x & a_bit:
                 raise ValueError(f"generator for qubit {q} has X support on {a}; not a Z trace-out tableau")
-            new_gens.append(PauliGenerator(g.sign * outcome, g.x_bits, GF2Vector(n, g.z_bits.bits ^ a_bit)))
-        else:
-            new_gens.append(g)
-    return StabilizerTableau(n, tableau.qubits, tuple(new_gens))
+            sign, z = sign * outcome, z ^ a_bit
+        new[q] = (sign, x, z)
+    return new
 
 
 def unitary_support(graph: Graph, a_set: QubitSet, z: OutcomeBitstring) -> GF2Vector:
@@ -162,6 +102,7 @@ def unitary_support(graph: Graph, a_set: QubitSet, z: OutcomeBitstring) -> GF2Ve
     Entry for the i-th member of B (ascending) is the parity of z over the
     measured neighbours of that vertex.
     """
+    a_set = _as_qubitset(graph.n, a_set)
     if z.support != a_set:
         raise ValueError("outcome support does not match the traced-out set")
     z_mask = 0
@@ -173,20 +114,15 @@ def unitary_support(graph: Graph, a_set: QubitSet, z: OutcomeBitstring) -> GF2Ve
     return GF2Vector(graph.n - len(a_set), bits)
 
 
-def traced_generator_set(graph: Graph, a_set: QubitSet, z: OutcomeBitstring) -> StabilizerTableau:
+def traced_generator_set(graph: Graph, a_set: QubitSet, z: OutcomeBitstring) -> dict[int, tuple[int, int, int]]:
     """Generators for the surviving qubits B after tracing out A with outcome z.
 
     Equal to folding measure_z over the members of A in any order and keeping
-    the rows of the surviving qubits.
+    the generators of the surviving qubits.
     """
-    n = graph.n
-    b_set = a_set.complement()
     support = unitary_support(graph, a_set, z)
-    gens = []
-    for i, b in enumerate(b_set):
-        sign = -1 if support[i] else 1
-        gens.append(PauliGenerator(sign, GF2Vector(n, 1 << b), GF2Vector(n, graph.adj[b] & b_set.members)))
-    return StabilizerTableau(n, tuple(b_set), tuple(gens))
+    b_set = a_set.complement()
+    return {b: (-1 if support[i] else 1, 1 << b, graph.adj[b] & b_set.members) for i, b in enumerate(b_set)}
 
 
 def _support_columns(graph: Graph, a_set: QubitSet) -> list[int]:
@@ -213,6 +149,7 @@ def count_distinct_sets(graph: Graph, a_set: QubitSet) -> int:
 
 def support_multiplicities(graph: Graph, a_set: QubitSet) -> dict[int, int]:
     """Occurrence count of each distinct support value over all 2^|A| outcomes."""
+    a_set = _as_qubitset(graph.n, a_set)
     k = len(a_set)
     if k > ENUMERATION_MAX_QUBITS:
         raise ValueError(f"|A| = {k} exceeds enumeration threshold {ENUMERATION_MAX_QUBITS}; use count_distinct_sets_fast")
@@ -227,4 +164,4 @@ def support_multiplicities(graph: Graph, a_set: QubitSet) -> dict[int, int]:
 
 def count_distinct_sets_fast(graph: Graph, a_set: QubitSet) -> int:
     """Distinct generator-set count as 2^cut_rank(A)."""
-    return 1 << cut_rank(graph, a_set.members)
+    return 1 << cut_rank(graph, _as_qubitset(graph.n, a_set).members)

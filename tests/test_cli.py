@@ -2,10 +2,17 @@
 
 import io
 import json
+import warnings
+from contextlib import redirect_stderr
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from graphce.cli import run
+from graphce.graphs import FAMILY_KINDS, family, parse_edge_list, parse_graph6
+from graphce.metrics import concentratable_entanglement, purity
 
 NO13_EDGE_FILE = "6\n1 2\n2 3\n3 4\n4 5\n3 6\n"
 
@@ -449,7 +456,6 @@ def test_failing_verify_names_its_case(monkeypatch, capsys):
     import re
 
     from graphce import dense
-    from graphce.graphs import parse_graph6
 
     real = dense.check_lemma
     seen = []
@@ -554,3 +560,119 @@ def test_run_builds_only_the_named_subparser(monkeypatch):
     assert invoke(["ce", "--graph6", "EhC_"]) == (0, "21/32\n")
     invoke(["--", "ce"])
     assert built == ["ce", "--"]
+
+
+# A small argv grammar: every command but verify, every graph source, and label, cut
+# and integer values that are empty, duplicated, out of range, non-ASCII or padded.
+def fuzz_values(valid, *odd_kinds):
+    """A valid value half the time, so that exit 0 is common; else a value of one odd kind."""
+    odd = st.sampled_from(odd_kinds).flatmap(st.sampled_from)
+    return st.booleans().flatmap(lambda ok: st.sampled_from(valid) if ok else odd)
+
+
+FUZZ_LABELS = fuzz_values(("1", "2", "3", "1,3", "2,1", "1,2,3"), ("", ",", " "), ("1,1", "2,1,2"),
+                          ("0", "4", "7", "-1", "99999999999999999999"), ("\u00b2", "\u0663", "\u00e9"),
+                          (" 2 , 3 ", "1\u00a0", "\t1\n", "1 2"))
+FUZZ_CUTS = fuzz_values(("1|2", "2|1", "1|2,3", "1,3|2", "4,6|1,2,3,5"), ("|", "1|", "1||2"), ("1,1|2,3", "1|1,2"),
+                        ("1|2,7", "0|1,2"), ("\u00e9|1", "\u0661|2"), (" 1 | 2 ", "1|2\n"))
+FUZZ_INTS = fuzz_values(("1", "2", "3", "4", "6"), ("",), ("0", "-1", "4097", "99999999999999999999"),
+                        ("x", "1e3", "\u0663"), (" 3", "3\n"))
+FUZZ_FORMATS = fuzz_values(("plain", "table", "csv", "json-lines"), ("",), ("xml", "CSV"))
+FUZZ_KINDS = fuzz_values(FAMILY_KINDS, ("",), ("tree", "Ring"))
+FUZZ_GRAPH6 = fuzz_values(("Bw", "EhC_", "A_", "@", "B?"), ("", "?"), ("E", "~", "C~"), ("\u00e9",), (" Bw", "Bw\n"))
+FUZZ_EDGE_FILES = {  # written by the fuzz_dir fixture; the first five parse, missing.txt and "." are not files
+    "no13.txt": NO13_EDGE_FILE,
+    "bom.txt": "\ufeff3\r\n1 2\r\n2 3\r\n",
+    "repeat.txt": "2\n1 2\n2 1\n",
+    "split.txt": "4\n1 2\n",
+    "\u00e9.txt": "2\n1 2\n",
+    "empty.txt": "",
+    "loop.txt": "2\n1 1\n",
+    "range.txt": "3\n1 4\n",
+    "word.txt": "x\n",
+}
+FUZZ_EDGES = fuzz_values([*FUZZ_EDGE_FILES][:5], [*FUZZ_EDGE_FILES][5:], ("latin1.txt", "missing.txt", "."))
+FUZZ_SOURCES = st.one_of(
+    st.tuples(st.just("--graph6"), FUZZ_GRAPH6),
+    st.tuples(st.just("--edges"), FUZZ_EDGES),
+    st.tuples(st.just("--family"), FUZZ_KINDS, st.just("--size"), FUZZ_INTS),
+)
+# each command's required options, always drawn, then up to three more of any of its options
+FUZZ_REQUIRED = {"purity": (("--subset", "--cut"),), "survey": (("--n",),),
+                 "family": (("--kind",), ("--from",), ("--to",))}
+FUZZ_OPTIONS = {
+    "ce": {"--subset": FUZZ_LABELS, "--format": FUZZ_FORMATS, "--decimal": None},
+    "purity": {"--subset": FUZZ_LABELS, "--cut": FUZZ_CUTS, "--decimal": None},
+    "rank-index": {"--m": FUZZ_INTS, "--format": FUZZ_FORMATS},
+    "spectrum": {"--format": FUZZ_FORMATS, "--decimal": None},
+    "survey": {"--n": FUZZ_INTS, "--stretch": None, "--format": FUZZ_FORMATS, "--decimal": None},
+    "family": {"--kind": FUZZ_KINDS, "--from": FUZZ_INTS, "--to": FUZZ_INTS, "--format": FUZZ_FORMATS,
+               "--decimal": None},
+}
+
+
+@st.composite
+def fuzz_argvs(draw):
+    command = draw(st.sampled_from(list(FUZZ_OPTIONS)))
+    argv = [command]
+    if command not in ("survey", "family"):
+        for _ in range({8: 0, 9: 2}.get(draw(st.integers(0, 9)), 1)):  # mostly the one source required
+            argv += draw(FUZZ_SOURCES)
+    options = FUZZ_OPTIONS[command]
+    flags = [draw(st.sampled_from(choice)) for choice in FUZZ_REQUIRED.get(command, ())]
+    for flag in flags + draw(st.lists(st.sampled_from(list(options)), max_size=3)):
+        argv += [flag] if options[flag] is None else [flag, draw(options[flag])]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("fuzz")
+    for name, text in FUZZ_EDGE_FILES.items():
+        (folder / name).write_text(text, encoding="utf-8")
+    (folder / "latin1.txt").write_bytes(b"2\n1 2 \xe9\n")
+    return folder
+
+
+def fuzz_options(argv):
+    """Each option's last value, as argparse keeps it; None for a flag."""
+    opts = {}
+    for i, token in enumerate(argv):
+        if token.startswith("--"):
+            opts[token] = argv[i + 1] if i + 1 < len(argv) and not argv[i + 1].startswith("--") else None
+    return opts
+
+
+def fuzz_library_value(argv):
+    """The value plain `ce`/`purity` should print, from the library."""
+    opts = fuzz_options(argv)
+    if "--graph6" in opts:
+        graph = parse_graph6(opts["--graph6"])
+    elif "--edges" in opts:
+        with open(opts["--edges"], encoding="utf-8-sig") as fh:
+            graph = parse_edge_list(fh.read())
+    else:
+        graph = family(opts["--family"], int(opts["--size"]))
+    text = opts.get("--subset") if "--cut" not in opts else opts["--cut"].split("|")[1]
+    members = None if text is None else {int(label) - 1 for label in text.split(",") if label.strip()}
+    if argv[0] == "purity":
+        return purity(graph, members)
+    return concentratable_entanglement(graph, range(graph.n) if members is None else members)
+
+
+@settings(max_examples=500, deadline=None)
+@given(fuzz_argvs())
+@example(["purity", "--graph6", "Bw", "--subset", ""])  # crashed with AttributeError before exit 2
+@example(["ce", "--graph6", "Bw", "--subset", ""])  # printed the full-set CE before exit 2
+def test_cli_fuzz_exits_0_or_2_and_prints_the_library_value(fuzz_dir, argv):
+    argv = [str(fuzz_dir / a) if flag == "--edges" else a for flag, a in zip(["", *argv], argv)]
+    plain = argv[0] == "purity" or (argv[0] == "ce" and fuzz_options(argv).get("--format", "plain") == "plain")
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), redirect_stderr(err):
+        warnings.simplefilter("ignore")
+        code = run(argv, out=out)
+        expected = fuzz_library_value(argv) if code == 0 and plain else None
+    assert "Traceback" not in err.getvalue()
+    assert code == 0 or (code == 2 and err.getvalue().startswith(("error:", "usage:"))), (code, err.getvalue())
+    if expected is not None:
+        assert Fraction(out.getvalue()) == expected

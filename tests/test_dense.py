@@ -24,14 +24,7 @@ from graphce.dense import (
 )
 from graphce.graphs import QubitSet, family, from_edges, mask_to_graph, pair_count, random_connected_graph
 from graphce.metrics import purity
-from graphce.stabilizer import (
-    GF2Vector,
-    OutcomeBitstring,
-    PauliGenerator,
-    graph_generators,
-    support_multiplicities,
-    unitary_support,
-)
+from graphce.stabilizer import OutcomeBitstring, graph_generators, support_multiplicities, unitary_support
 
 NO13 = from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5)])
 
@@ -80,8 +73,8 @@ def test_check_stabilizer_families():
 
 def test_sign_flipped_generator_fails():
     sv = build_state(NO13)
-    gen = graph_generators(NO13).generators[2]
-    flipped = PauliGenerator(-gen.sign, gen.x_bits, gen.z_bits)
+    sign, x, z = gen = graph_generators(NO13)[2]
+    flipped = (-sign, x, z)
     assert stabilizes(sv, gen)
     assert not stabilizes(sv, flipped)
 
@@ -105,7 +98,7 @@ def test_measurement_rule_no13_qubit6():
     amps = sv.amplitudes.reshape(32, 2)[:, 1]
     amps = amps / np.linalg.norm(amps)
     reduced = build_state(from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)]))
-    expected = apply_generator(reduced, PauliGenerator(1, GF2Vector(5), GF2Vector(5, 1 << 2)))
+    expected = apply_generator(reduced, (1, 0, 1 << 2))
     assert np.isclose(abs(np.vdot(expected.amplitudes, amps)), 1.0)
 
 
@@ -212,6 +205,13 @@ def test_statevector_shape_validation():
         StateVector(2, np.ones(3, dtype=np.complex128))
 
 
+def test_apply_generator_width_check():
+    sv = build_state(from_edges(2, [(0, 1)]))
+    assert np.allclose(apply_generator(sv, (-1, 0b01, 0)).amplitudes, np.array([-1, 1, -1, -1]) / 2)  # -X_1
+    with pytest.raises(ValueError, match="beyond the 2 qubits"):
+        apply_generator(sv, (1, 0, 0b100))
+
+
 def per_edge_state(graph):
     n = graph.n
     amps = np.full(1 << n, 2.0 ** (-n / 2), dtype=np.complex128)
@@ -236,7 +236,7 @@ def test_generator_products_match_per_subset_reference(graph, seed):
     # per-subset loop bit for bit
     rng = np.random.default_rng(seed)
     state = StateVector(graph.n, rng.normal(size=1 << graph.n) + 1j * rng.normal(size=1 << graph.n))
-    gens = graph_generators(graph).generators
+    gens = graph_generators(graph)
     worst = 0.0
     for subset in range(1 << graph.n):
         cur = state
@@ -251,11 +251,10 @@ def test_generator_products_match_per_subset_reference(graph, seed):
 
 
 def test_check_stabilizer_catches_a_flipped_sign(monkeypatch):
-    tableau = graph_generators(NO13)
-    gens = list(tableau.generators)
-    gens[4] = PauliGenerator(-gens[4].sign, gens[4].x_bits, gens[4].z_bits)
-    monkeypatch.setattr("graphce.dense.graph_generators",
-                        lambda g: dataclasses.replace(tableau, generators=tuple(gens)))
+    gens = graph_generators(NO13)
+    sign, x, z = gens[4]
+    gens[4] = (-sign, x, z)
+    monkeypatch.setattr("graphce.dense.graph_generators", lambda g: gens)
     assert not check_stabilizer(NO13)
 
 

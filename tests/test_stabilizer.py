@@ -10,12 +10,10 @@ from graphce.graphs import QubitSet, _eliminate, cut_rank, family, from_edges, r
 from graphce.stabilizer import (
     GF2Vector,
     OutcomeBitstring,
-    PauliGenerator,
     count_distinct_sets,
     count_distinct_sets_fast,
     graph_generators,
     measure_z,
-    pauli_str,
     support_multiplicities,
     traced_generator_set,
     unitary_support,
@@ -28,46 +26,72 @@ def qs(n, members):
     return QubitSet.from_members(n, members)
 
 
+def render(gen):
+    """A (sign, x, z) generator in the paper's 1-indexed style, e.g. "-Z_2 X_3"."""
+    sign, x, z = gen
+    factors = [f"{p}_{q + 1}" for q in range((x | z).bit_length()) for p, bits in (("X", x), ("Z", z)) if bits >> q & 1]
+    return ("-" if sign < 0 else "") + (" ".join(factors) or "I")
+
+
 def test_graph_generators_no13():
     t = graph_generators(NO13)
-    g3 = t.generator_for(2)
-    assert g3.sign == 1
-    assert g3.x_bits == GF2Vector(6, 1 << 2)
-    assert sorted(q for q in range(6) if g3.z_bits[q]) == [1, 3, 5]
-    assert pauli_str(g3) == "Z_2 X_3 Z_4 Z_6"
+    assert list(t) == list(range(6))
+    assert t[2] == (1, 1 << 2, 0b101010)
+    assert render(t[2]) == "Z_2 X_3 Z_4 Z_6"
 
 
 def test_graph_generators_k2_and_single_vertex():
     t = graph_generators(from_edges(2, [(0, 1)]))
-    assert [pauli_str(g) for g in t.generators] == ["X_1 Z_2", "Z_1 X_2"]
+    assert [render(g) for g in t.values()] == ["X_1 Z_2", "Z_1 X_2"]
     t1 = graph_generators(from_edges(1, []))
-    assert [pauli_str(g) for g in t1.generators] == ["X_1"]
+    assert [render(g) for g in t1.values()] == ["X_1"]
 
 
 def test_measure_z_example2_sequence():
     # trace out qubits 4 and 6 with outcomes -1, +1: the set {-Z_4, Z_6}
     t = measure_z(measure_z(graph_generators(NO13), 3, -1), 5, +1)
-    rendered = [pauli_str(g) for g in t.generators]
+    rendered = [render(g) for g in t.values()]
     assert rendered == ["X_1 Z_2", "Z_1 X_2 Z_3", "-Z_2 X_3", "-Z_4", "-X_5", "Z_6"]
 
 
 def test_measure_z_isolated_qubit():
     g = from_edges(3, [(0, 1)])
     t = measure_z(graph_generators(g), 2, +1)
-    assert pauli_str(t.generator_for(2)) == "Z_3"
-    assert pauli_str(t.generator_for(0)) == "X_1 Z_2"
-    assert pauli_str(t.generator_for(1)) == "Z_1 X_2"
+    assert render(t[2]) == "Z_3"
+    assert render(t[0]) == "X_1 Z_2"
+    assert render(t[1]) == "Z_1 X_2"
 
 
 def test_measure_z_k2_negative_outcome():
     t = measure_z(graph_generators(from_edges(2, [(0, 1)])), 0, -1)
-    assert [pauli_str(g) for g in t.generators] == ["-Z_1", "-X_2"]
+    assert [render(g) for g in t.values()] == ["-Z_1", "-X_2"]
 
 
 def test_measure_z_twice_rejected():
     t = measure_z(graph_generators(NO13), 3, -1)
     with pytest.raises(ValueError, match="already measured"):
         measure_z(t, 3, +1)
+
+
+def test_measure_z_rejects_bad_input():
+    t = graph_generators(NO13)
+    with pytest.raises(ValueError, match="outcome must be"):
+        measure_z(t, 3, 0)
+    with pytest.raises(ValueError, match="not present"):
+        measure_z(t, 6, +1)
+    with pytest.raises(ValueError, match="X support on 3"):
+        measure_z({**t, 2: (1, 0b1100, 0b1000)}, 3, +1)
+
+
+def test_universe_mismatch_is_refused():
+    # a 4-qubit set passed with the 6-qubit NO13 used to drop qubits 4 and 5 silently
+    a = QubitSet(4, 0b1100)
+    z = OutcomeBitstring.from_int(a, 1)
+    for call in (lambda: count_distinct_sets(NO13, a), lambda: count_distinct_sets_fast(NO13, a),
+                 lambda: support_multiplicities(NO13, a), lambda: unitary_support(NO13, a, z),
+                 lambda: traced_generator_set(NO13, a, z)):
+        with pytest.raises(ValueError, match="qubit set universe 4 != graph size 6"):
+            call()
 
 
 def test_unitary_support_zero_bitstring():
@@ -106,8 +130,7 @@ def test_traced_generator_set_sign_patterns():
     for z4 in (0, 1):
         for z6 in (0, 1):
             t = traced_generator_set(NO13, a, OutcomeBitstring(a, GF2Vector(2, z4 | z6 << 1)))
-            signs = {q: g.sign for q, g in zip(t.qubits, t.generators)}
-            patterns.append((signs[2], signs[4]))
+            patterns.append((t[2][0], t[4][0]))
     assert patterns == [(1, 1), (-1, 1), (-1, -1), (1, -1)]
 
 
@@ -123,7 +146,7 @@ def test_traced_generator_set_snowflake_pair():
     sets = set()
     for value in range(4):
         t = traced_generator_set(g, pair, OutcomeBitstring.from_int(pair, value))
-        sets.add(tuple(gen.sign for gen in t.generators))
+        sets.add(tuple(sign for sign, _, _ in t.values()))
     assert len(sets) == 2
     both = traced_generator_set(g, pair, OutcomeBitstring.from_int(pair, 3))
     none = traced_generator_set(g, pair, OutcomeBitstring.from_int(pair, 0))
@@ -146,8 +169,7 @@ def test_traced_equals_measure_z_fold_any_order():
         for vertex in order:
             i = members.index(vertex)
             t = measure_z(t, vertex, -1 if (value >> i) & 1 else 1)
-        survivors = tuple(gen for q, gen in zip(t.qubits, t.generators) if q not in a)
-        assert survivors == expected.generators
+        assert {q: gen for q, gen in t.items() if q not in a} == expected
 
 
 def test_measure_z_fold_order_independence():
@@ -162,13 +184,13 @@ def test_measure_z_fold_order_independence():
         t = graph_generators(g)
         for v in order:
             t = measure_z(t, v, outcomes[v])
-        results.add(t)
+        results.add(tuple(t.items()))
     assert len(results) == 1
 
 
 def commute(p, q):
     """Whether two Pauli strings commute: their symplectic inner product is zero."""
-    anti = (p.x_bits.bits & q.z_bits.bits).bit_count() + (p.z_bits.bits & q.x_bits.bits).bit_count()
+    anti = (p[1] & q[2]).bit_count() + (p[2] & q[1]).bit_count()
     return anti % 2 == 0
 
 
@@ -180,11 +202,11 @@ def test_generators_commute_and_are_independent():
         size = rng.randint(0, g.n - 1)
         for v in rng.sample(range(g.n), size):
             t = measure_z(t, v, rng.choice((1, -1)))
-        gens = t.generators
+        gens = list(t.values())
         for i in range(len(gens)):
             for j in range(i + 1, len(gens)):
                 assert commute(gens[i], gens[j])
-        stacked = [gen.x_bits.bits | (gen.z_bits.bits << g.n) for gen in gens]
+        stacked = [x | (z << g.n) for _, x, z in gens]
         assert len(_eliminate(stacked)) == len(gens)
 
 
@@ -261,10 +283,3 @@ def test_support_map_linearity():
             for y in range(1 << size):
                 assert supports[x ^ y] == supports[x] ^ supports[y]
 
-
-def test_pauli_str_rendering():
-    n = 3
-    gen = PauliGenerator(-1, GF2Vector(n, 0b010), GF2Vector(n, 0b101))
-    assert pauli_str(gen) == "-Z_1 X_2 Z_3"
-    identity = PauliGenerator(1, GF2Vector(n), GF2Vector(n))
-    assert pauli_str(identity) == "I"
