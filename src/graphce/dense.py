@@ -4,17 +4,20 @@ Amplitude indices put qubit 0 at the most significant bit.  Everything here
 is float/complex and deliberately independent of the exact rational code
 paths it verifies.
 
-Each check is a few batched numpy operations over one cached, read-only
-index array per width.  ``build_state`` takes one pass per vertex;
-``check_stabilizer`` builds all 2^n generator products by doubling, and
-``check_lemma`` forms every outcome state as a sign matrix times one base
-state and compares the whole Gram matrix at once.
+Each check is a few batched numpy operations over cached, read-only index
+and bit tables, one per width.  ``build_state`` reads every CZ phase off one
+matrix product with the bit table; ``_apply`` gathers a whole batch of
+generators at once, so each check applies all of its generators in one call.
+``check_stabilizer`` builds all 2^n generator products by doubling for
+n <= 6, and ``check_lemma`` forms every outcome state as a sign matrix times
+one base state and compares the whole Gram matrix at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -43,15 +46,7 @@ class StateVector:
 
 def _index_mask(qubit_bits: int, n: int) -> int:
     """Convert a qubit bitset (bit q = qubit q) to an amplitude-index bitmask."""
-    mask = 0
-    q = 0
-    bits = qubit_bits
-    while bits:
-        if bits & 1:
-            mask |= 1 << (n - 1 - q)
-        bits >>= 1
-        q += 1
-    return mask
+    return int(format(qubit_bits, f"0{n}b")[::-1], 2)
 
 
 def _parity(values: np.ndarray) -> np.ndarray:
@@ -66,56 +61,61 @@ def _indices(n: int) -> np.ndarray:
     return idx
 
 
+@lru_cache(maxsize=None)
+def _bits(n: int) -> np.ndarray:
+    """The 2^n x n float table whose entry (i, q) is qubit q's bit of index i, shared and read-only."""
+    shifts = np.arange(n - 1, -1, -1, dtype=np.uint64)
+    bits = ((_indices(n)[:, np.newaxis] >> shifts) & np.uint64(1)).astype(np.float64)
+    bits.flags.writeable = False
+    return bits
+
+
 def build_state(graph: Graph) -> StateVector:
     """|+>^n with a controlled-Z applied across every edge."""
     n = graph.n
     if n > DENSE_MAX_QUBITS:
         raise ValueError(f"dense oracle limited to n <= {DENSE_MAX_QUBITS}, got {n}")
-    idx = _indices(n)
-    # the CZ phase of index i: parity over u set in i of popcount(i & upper neighbours of u)
-    phase = np.zeros(1 << n, dtype=np.uint64)
-    for u, row in enumerate(graph.adj):
-        upper = np.uint64(_index_mask(row >> (u + 1) << (u + 1), n))
-        phase ^= (idx >> np.uint64(n - 1 - u)) & np.bitwise_count(idx & upper)
-    amps = (1.0 - 2.0 * (phase & np.uint64(1))) * 2.0 ** (-n / 2)
+    bits = _bits(n)
+    adj = ((np.array(graph.adj, dtype=np.int64)[:, np.newaxis] >> np.arange(n)) & 1).astype(np.float64)
+    # b^T A b counts every edge inside index i twice, so bit 1 of it is the CZ phase
+    twice_edges = np.einsum("ij,ij->i", bits @ adj, bits).astype(np.int64)
+    amps = (1.0 - (twice_edges & 2)) * 2.0 ** (-n / 2)
     return StateVector(n, amps.astype(np.complex128))
 
 
-def _apply(amps: np.ndarray, gen: tuple[int, int, int], n: int) -> np.ndarray:
-    """sign * prod X^x Z^z, for gen = (sign, x, z) on n qubits, applied along the last axis of amps."""
-    sign, x, z = gen
-    src = _indices(n) ^ np.uint64(_index_mask(x, n))
-    signs = 1.0 - 2.0 * _parity(src & np.uint64(_index_mask(z, n)))
-    return sign * signs * amps[..., src]
+def _apply(amps: np.ndarray, gens: Sequence[tuple[int, int, int]], n: int) -> np.ndarray:
+    """sign * prod X^x Z^z for each gen = (sign, x, z) on n qubits, along the last axis of amps; a row per gen."""
+    if any((x | z) >> n for _, x, z in gens):
+        raise ValueError(f"generator acts beyond the {n} qubits of the state")
+    signs = np.array([sign for sign, _, _ in gens], dtype=np.float64)[:, np.newaxis]
+    src = _indices(n) ^ np.array([_index_mask(x, n) for _, x, _ in gens], dtype=np.uint64)[:, np.newaxis]
+    z_masks = np.array([_index_mask(z, n) for _, _, z in gens], dtype=np.uint64)[:, np.newaxis]
+    return signs * (1.0 - 2.0 * _parity(src & z_masks)) * amps[..., src]
 
 
 def apply_generator(state: StateVector, gen: tuple[int, int, int]) -> StateVector:
     """Apply a signed Pauli string (sign, x, z), sign * prod X^x Z^z, to the state."""
-    if (gen[1] | gen[2]) >> state.n:
-        raise ValueError(f"generator acts beyond the {state.n} qubits of the state")
-    return StateVector(state.n, _apply(state.amplitudes, gen, state.n))
+    return StateVector(state.n, _apply(state.amplitudes, [gen], state.n)[0])
 
 
-def stabilizes(state: StateVector, gen: tuple[int, int, int], tol: float = STATE_TOL) -> bool:
-    """True iff the generator fixes the state: S|psi> = |psi> within tol."""
-    out = apply_generator(state, gen)
-    return bool(np.max(np.abs(out.amplitudes - state.amplitudes)) <= tol)
+def stabilizes(state: StateVector, gens: Sequence[tuple[int, int, int]], tol: float = STATE_TOL) -> bool:
+    """True iff every generator fixes the state: S|psi> = |psi> within tol."""
+    out = _apply(state.amplitudes, gens, state.n)
+    return bool(np.max(np.abs(out - state.amplitudes), initial=0.0) <= tol)
 
 
 def check_stabilizer(graph: Graph, tol: float = STATE_TOL) -> bool:
     """Every generator (and for n <= 6 every generator product) fixes |G>."""
     state = build_state(graph)
-    gens = graph_generators(graph).values()
-    if not all(stabilizes(state, g, tol) for g in gens):
-        return False
-    if graph.n <= 6:
-        # row S of products is prod_{a in S} g_a |G>, applied in ascending a
-        products = state.amplitudes[np.newaxis]
-        for gen in gens:
-            products = np.concatenate((products, _apply(products, gen, graph.n)))
-        if np.max(np.abs(products - state.amplitudes)) > tol:
-            return False
-    return True
+    gens = list(graph_generators(graph).values())
+    if graph.n > 6:
+        return stabilizes(state, gens, tol)
+    # row S of products is prod_{a in S} g_a |G>, applied in ascending a; the rows
+    # of the singletons S = {a} are the generators themselves
+    products = state.amplitudes[np.newaxis]
+    for gen in gens:
+        products = np.concatenate((products, _apply(products, [gen], graph.n)[:, 0]))
+    return bool(np.max(np.abs(products - state.amplitudes)) <= tol)
 
 
 def reduced_density_matrix(state: StateVector, b: QubitSet) -> np.ndarray:
@@ -180,14 +180,14 @@ def check_measurement_rule(graph: Graph, a: int, outcome: int, tol: float = MATC
     if abs(overlap - 1.0) > tol:
         return False
 
+    survivors = []
     for q, (sign, x, z) in measure_z(graph_generators(graph), a, outcome).items():
         if q == a:
             continue
         if ((x | z) >> a) & 1:
             return False  # surviving generators must not touch the measured qubit
-        if not stabilizes(projected, (sign, _drop_bit(x, a), _drop_bit(z, a)), tol):
-            return False
-    return True
+        survivors.append((sign, _drop_bit(x, a), _drop_bit(z, a)))
+    return stabilizes(projected, survivors, tol)
 
 
 def check_lemma(graph: Graph, a_set: QubitSet, tol: float = MATCH_TOL) -> bool:

@@ -471,11 +471,14 @@ def random_connected_graph(n: int, rng: random.Random) -> Graph:
     """Uniformly-seeded random connected graph: random spanning tree plus coin-flip extras."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    edges = set()
+    adj = [0] * n
     for v in range(1, n):
-        edges.add((rng.randrange(v), v))
+        u = rng.randrange(v)
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
     for u in range(n):
         for v in range(u + 1, n):
-            if (u, v) not in edges and rng.random() < 0.5:
-                edges.add((u, v))
-    return from_edges(n, sorted(edges))
+            if not (adj[u] >> v) & 1 and rng.random() < 0.5:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+    return Graph(n, tuple(adj))

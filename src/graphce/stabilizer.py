@@ -105,12 +105,17 @@ def unitary_support(graph: Graph, a_set: QubitSet, z: OutcomeBitstring) -> GF2Ve
     a_set = _as_qubitset(graph.n, a_set)
     if z.support != a_set:
         raise ValueError("outcome support does not match the traced-out set")
-    z_mask = 0
-    for i, a in enumerate(a_set):
-        z_mask |= z.bits[i] << a
-    bits = 0
-    for i, b in enumerate(a_set.complement()):
-        bits |= ((graph.adj[b] & z_mask).bit_count() & 1) << i
+    # walk A and then B by lowest set bit: outcome bit i goes to the i-th member of A
+    z_mask, rest, value = 0, a_set.members, z.bits.bits
+    while rest:
+        low = rest & -rest
+        z_mask |= low * (value & 1)
+        rest, value = rest ^ low, value >> 1
+    bits, rest, i = 0, ((1 << graph.n) - 1) ^ a_set.members, 0
+    while rest:
+        low = rest & -rest
+        bits |= ((graph.adj[low.bit_length() - 1] & z_mask).bit_count() & 1) << i
+        rest, i = rest ^ low, i + 1
     return GF2Vector(graph.n - len(a_set), bits)
 
 

@@ -562,8 +562,8 @@ def test_run_builds_only_the_named_subparser(monkeypatch):
     assert built == ["ce", "--"]
 
 
-# A small argv grammar: every command but verify, every graph source, and label, cut
-# and integer values that are empty, duplicated, out of range, non-ASCII or padded.
+# A small argv grammar: every command, every graph source, and label, cut and integer
+# values that are empty, duplicated, out of range, non-ASCII or padded.
 def fuzz_values(valid, *odd_kinds):
     """A valid value half the time, so that exit 0 is common; else a value of one odd kind."""
     odd = st.sampled_from(odd_kinds).flatmap(st.sampled_from)
@@ -577,6 +577,11 @@ FUZZ_CUTS = fuzz_values(("1|2", "2|1", "1|2,3", "1,3|2", "4,6|1,2,3,5"), ("|", "
                         ("1|2,7", "0|1,2"), ("\u00e9|1", "\u0661|2"), (" 1 | 2 ", "1|2\n"))
 FUZZ_INTS = fuzz_values(("1", "2", "3", "4", "6"), ("",), ("0", "-1", "4097", "99999999999999999999"),
                         ("x", "1e3", "\u0663"), (" 3", "3\n"))
+# verify always gets both options: a missing --seed draws a random one and a missing
+# --trials runs the default 25, so every drawn verify stays deterministic and at most 10 trials
+FUZZ_SEEDS = fuzz_values(("1", "7", "238"), ("",), ("-3", "123456789012345678901234567890"), ("\u0663",),
+                         (" 7", "7\n", "x"))
+FUZZ_TRIALS = fuzz_values(("1", "2"), ("",), ("-1", "0"), ("1_0",), ("x", "2.5"))
 FUZZ_FORMATS = fuzz_values(("plain", "table", "csv", "json-lines"), ("",), ("xml", "CSV"))
 FUZZ_KINDS = fuzz_values(FAMILY_KINDS, ("",), ("tree", "Ring"))
 FUZZ_GRAPH6 = fuzz_values(("Bw", "EhC_", "A_", "@", "B?"), ("", "?"), ("E", "~", "C~"), ("\u00e9",), (" Bw", "Bw\n"))
@@ -599,7 +604,7 @@ FUZZ_SOURCES = st.one_of(
 )
 # each command's required options, always drawn, then up to three more of any of its options
 FUZZ_REQUIRED = {"purity": (("--subset", "--cut"),), "survey": (("--n",),),
-                 "family": (("--kind",), ("--from",), ("--to",))}
+                 "family": (("--kind",), ("--from",), ("--to",)), "verify": (("--seed",), ("--trials",))}
 FUZZ_OPTIONS = {
     "ce": {"--subset": FUZZ_LABELS, "--format": FUZZ_FORMATS, "--decimal": None},
     "purity": {"--subset": FUZZ_LABELS, "--cut": FUZZ_CUTS, "--decimal": None},
@@ -608,6 +613,7 @@ FUZZ_OPTIONS = {
     "survey": {"--n": FUZZ_INTS, "--stretch": None, "--format": FUZZ_FORMATS, "--decimal": None},
     "family": {"--kind": FUZZ_KINDS, "--from": FUZZ_INTS, "--to": FUZZ_INTS, "--format": FUZZ_FORMATS,
                "--decimal": None},
+    "verify": {"--seed": FUZZ_SEEDS, "--trials": FUZZ_TRIALS},
 }
 
 
@@ -615,7 +621,7 @@ FUZZ_OPTIONS = {
 def fuzz_argvs(draw):
     command = draw(st.sampled_from(list(FUZZ_OPTIONS)))
     argv = [command]
-    if command not in ("survey", "family"):
+    if command not in ("survey", "family", "verify"):
         for _ in range({8: 0, 9: 2}.get(draw(st.integers(0, 9)), 1)):  # mostly the one source required
             argv += draw(FUZZ_SOURCES)
     options = FUZZ_OPTIONS[command]
@@ -676,3 +682,5 @@ def test_cli_fuzz_exits_0_or_2_and_prints_the_library_value(fuzz_dir, argv):
     assert code == 0 or (code == 2 and err.getvalue().startswith(("error:", "usage:"))), (code, err.getvalue())
     if expected is not None:
         assert Fraction(out.getvalue()) == expected
+    if argv[0] == "verify" and code == 0:
+        assert out.getvalue().endswith("verify: PASS\n")

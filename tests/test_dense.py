@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphce.dense import (
+    DENSE_MAX_QUBITS,
     MATCH_TOL,
     StateVector,
     _project_and_drop,
@@ -24,7 +25,13 @@ from graphce.dense import (
 )
 from graphce.graphs import QubitSet, family, from_edges, mask_to_graph, pair_count, random_connected_graph
 from graphce.metrics import purity
-from graphce.stabilizer import OutcomeBitstring, graph_generators, support_multiplicities, unitary_support
+from graphce.stabilizer import (
+    OutcomeBitstring,
+    graph_generators,
+    measure_z,
+    support_multiplicities,
+    unitary_support,
+)
 
 NO13 = from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5)])
 
@@ -75,8 +82,9 @@ def test_sign_flipped_generator_fails():
     sv = build_state(NO13)
     sign, x, z = gen = graph_generators(NO13)[2]
     flipped = (-sign, x, z)
-    assert stabilizes(sv, gen)
-    assert not stabilizes(sv, flipped)
+    assert stabilizes(sv, [gen])
+    assert not stabilizes(sv, [flipped])
+    assert not stabilizes(sv, list(graph_generators(NO13).values()) + [flipped])
 
 
 def test_measurement_rule_k2():
@@ -228,6 +236,11 @@ def test_build_state_equals_per_edge_reference(graph):
     assert np.array_equal(build_state(graph).amplitudes, per_edge_state(graph))
 
 
+def test_build_state_equals_per_edge_reference_at_the_size_limit():
+    graph = family("complete", DENSE_MAX_QUBITS)
+    assert np.array_equal(build_state(graph).amplitudes, per_edge_state(graph))
+
+
 @settings(max_examples=60, deadline=None)
 @given(graphs(6), st.integers(0, 2**32 - 1))
 def test_generator_products_match_per_subset_reference(graph, seed):
@@ -256,6 +269,26 @@ def test_check_stabilizer_catches_a_flipped_sign(monkeypatch):
     gens[4] = (-sign, x, z)
     monkeypatch.setattr("graphce.dense.graph_generators", lambda g: gens)
     assert not check_stabilizer(NO13)
+
+
+def test_check_stabilizer_catches_a_flipped_sign_above_the_product_table(monkeypatch):
+    # n = 8 skips the 2^n product table, so only the batched generator check can see it
+    ring = family("ring", 8)
+    gens = graph_generators(ring)
+    sign, x, z = gens[4]
+    gens[4] = (-sign, x, z)
+    assert check_stabilizer(ring)
+    monkeypatch.setattr("graphce.dense.graph_generators", lambda g: gens)
+    assert not check_stabilizer(ring)
+
+
+def test_measure_z_without_the_sign_flip_is_caught(monkeypatch):
+    # the -1 outcome must flip every generator that carried Z on the measured qubit;
+    # the overlap half of the check never reads the tableau, so only its stabilizer half can see this
+    assert check_measurement_rule(NO13, 5, -1)
+    monkeypatch.setattr("graphce.dense.measure_z", lambda tableau, a, outcome: measure_z(tableau, a, 1))
+    assert check_measurement_rule(NO13, 5, +1)
+    assert not check_measurement_rule(NO13, 5, -1)
 
 
 def test_check_lemma_catches_a_wrong_base_state(monkeypatch):

@@ -148,6 +148,26 @@ def test_biadjacency_transpose_symmetry():
         assert len(_eliminate(a_rows)) == len(_eliminate(b_rows)) == cut_rank(g, a) == cut_rank(g, b)
 
 
+# graph6 of random_connected_graph(n, rng) for n = 2..10 drawn in turn from one
+# Random(seed), then the stream's next random()
+RANDOM_GRAPH_GOLDENS = [
+    (0, ["A_", "Bw", "Cm", "DyO", "E}io", "F|UVo", "GjJ`r_", "Hl\\JhuA", "Ikjv}V`|w"], 0.5691127395242802),
+    (1, ["A_", "Bw", "C~", "Dlk", "Ep_o", "FylCG", "G|Tp][", "Hh]jg`X", "I~~dVzyIG"], 0.6485064180992564),
+    (7, ["A_", "Bg", "Cr", "Dyo", "EmuG", "F||Zo", "Gp|^bS", "H~~ie|[", "I~vZ^^}{o"], 0.027042491422168524),
+    (238, ["A_", "Bg", "Ct", "D~k", "EkSW", "F}|PW", "GhYzC{", "Hv~Tpwv", "I|tmQc{eG"], 0.6738344747822692),
+    (12345, ["A_", "Bg", "C|", "D|W", "Ezfg", "FlEcg", "G}~nu?", "H~r}rsM", "IuNY|W}]g"], 0.2726232137466206),
+]
+
+
+@pytest.mark.parametrize("seed, graph6s, next_draw", RANDOM_GRAPH_GOLDENS)
+def test_random_connected_graph_draw_sequence(seed, graph6s, next_draw):
+    # a failing verify names its seed and graph6; both only reproduce the case while
+    # random_connected_graph draws the same numbers in the same order
+    rng = random.Random(seed)
+    assert [write_graph6(random_connected_graph(n, rng)) for n in range(2, 11)] == graph6s
+    assert rng.random() == next_draw
+
+
 def test_is_connected():
     assert is_connected(from_edges(2, [(0, 1)]))
     assert not is_connected(from_edges(2, []))
