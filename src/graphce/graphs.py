@@ -232,12 +232,9 @@ def cut_rank(graph: Graph, a: int) -> int:
     return len(_eliminate(rows))
 
 
-def is_connected(graph: Graph) -> bool:
-    """Breadth-first reachability from vertex 0 covers all vertices."""
-    if graph.n == 0:
-        raise ValueError("connectivity undefined for the empty graph")
-    adj = graph.adj
-    seen = frontier = 1
+def _reach(adj: Sequence[int], start: int) -> int:
+    """The vertex mask reachable from the vertex mask `start` over adjacency rows `adj`, breadth first."""
+    seen = frontier = start
     while frontier:
         reach = 0
         while frontier:
@@ -246,7 +243,14 @@ def is_connected(graph: Graph) -> bool:
             frontier ^= low
         frontier = reach & ~seen
         seen |= frontier
-    return seen == (1 << graph.n) - 1
+    return seen
+
+
+def is_connected(graph: Graph) -> bool:
+    """Breadth-first reachability from vertex 0 covers all vertices."""
+    if graph.n == 0:
+        raise ValueError("connectivity undefined for the empty graph")
+    return _reach(graph.adj, 1) == (1 << graph.n) - 1
 
 
 def induced_subgraph(graph: Graph, keep: QubitSet) -> Graph:
@@ -413,16 +417,33 @@ def _least_code(adj: Sequence[int], best: list[int], stop: bool, depth: int = 0,
     places a vertex of the first cell next, and of two vertices swapped by a
     transposition automorphism (equal adjacency apart from each other) only one is
     followed.  With ``stop``, return True at the first lowering instead of making it.
+
+    Two unplaced vertices with columns c < c' never change order, as 2c + 1 < 2c', so
+    they are placed in column order: the vertex placed t steps from now has a column of
+    at least ``sorted_columns[t] << t``.  When that bound sequence is not below
+    ``best[depth:]``, no order in the subtree lowers ``best`` and it is not searched.
     """
     if cells is None:
         cells = [(0, (1 << len(best)) - 1)]
     cmin, first = cells[0]
-    if cmin != best[depth]:
-        if cmin > best[depth]:
-            return False
+    if cmin < best[depth]:
         if stop:
             return True
         best[depth:] = [cmin] + [1 << len(best)] * (len(best) - depth - 1)  # deeper columns unset
+    else:  # walk the bound sequence to its first difference from best[depth:]
+        t = depth
+        for c, m in cells:
+            c <<= t - depth
+            end = t + m.bit_count()
+            while t < end and c == best[t]:
+                c <<= 1
+                t += 1
+            if t < end:
+                break
+        else:
+            return False  # equal throughout
+        if c > best[t]:
+            return False
     if depth == len(best) - 1:
         return False
     group: list[int] = []

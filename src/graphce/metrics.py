@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Iterator
 
-from .graphs import Graph, QubitSet, _as_qubitset, _eliminate, cut_rank, is_connected, write_graph6
+from .graphs import Graph, QubitSet, _as_qubitset, _eliminate, _reach, cut_rank, is_connected, write_graph6
 
 
 class DisconnectedGraphWarning(UserWarning):
@@ -269,9 +269,31 @@ def ce_bounds(n: int) -> tuple[Fraction, Fraction]:
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    lo = Fraction((1 << (n - 1)) - 1, 1 << n)
-    acc = sum(math.comb(n, j) << (n - min(j, n - j)) for j in range(n + 1))
-    return lo, Fraction((1 << (2 * n)) - acc, 1 << (2 * n))
+    return _bounds(n, n, 1)
+
+
+def _bounds(n: int, k: int, inside: int) -> tuple[Fraction, Fraction]:
+    """(min, max) of CE(s) for a k-qubit set s of an n-vertex graph with `inside` connected
+    components lying wholly inside s.
+
+    Every purity Tr rho_A^2 = 2^-r(A) is at least 2^-min(|A|, n - |A|), which gives
+    the maximum 1 - 2^-k sum_j C(k, j) 2^-min(j, n - j).  A subset A of s has r(A) = 0
+    only when it is a union of those components, 2^inside subsets in all; every other A
+    has purity at most 1/2, which gives the minimum 1/2 - 2^(inside - k - 1).  A connected
+    graph has inside = 1 at s = V (`ce_bounds`) and inside = 0 on a proper s.
+    """
+    acc = sum(math.comb(k, j) << (n - min(j, n - j)) for j in range(k + 1))
+    return Fraction((1 << k) - (1 << inside), 1 << (k + 1)), Fraction((1 << (n + k)) - acc, 1 << (n + k))
+
+
+def _subset_bounds(graph: Graph, s: int) -> tuple[Fraction, Fraction]:
+    """`_bounds` for the vertex mask s of `graph`, connected or not."""
+    inside, rest = 0, (1 << graph.n) - 1
+    while rest:
+        component = _reach(graph.adj, rest & -rest)
+        rest &= ~component
+        inside += component & ~s == 0
+    return _bounds(graph.n, s.bit_count(), inside)
 
 
 def snowflake_subset_ce(n: int) -> Fraction:
@@ -283,7 +305,7 @@ def snowflake_subset_ce(n: int) -> Fraction:
 
 @dataclass(frozen=True)
 class CEReport:
-    """CE of one subset of one graph, with bound comparisons for its size."""
+    """CE of one subset of one graph, with the bounds of `_subset_bounds` and their attainment."""
 
     graph6: str
     n: int
@@ -301,7 +323,7 @@ def ce_report(graph: Graph, s: QubitSet | Iterable[int] | None = None) -> CERepo
     s_set = QubitSet.full(graph.n) if s is None else _as_qubitset(graph.n, s)
     ce = _ce(graph, s_set.members)
     connected = _check_connected(graph)
-    lo, hi = ce_bounds(len(s_set))
+    lo, hi = _subset_bounds(graph, s_set.members)
     return CEReport(
         graph6=write_graph6(graph),
         n=graph.n,

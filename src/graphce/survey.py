@@ -7,7 +7,11 @@ a lesser prefix would give a lesser code, so every class on k vertices arises
 exactly once as a least-code graph on k - 1 vertices plus a last vertex, and
 the search that `canonical_form` runs, seeded with a candidate's own columns,
 tells whether it is least (Read 1978; McKay 1998).  No table of seen graphs
-is kept.
+is kept.  `_children` tries only the candidates that pass two filters (the
+parent's twins, and a least new column), and the search skips a subtree once
+a lower bound on its columns is not below the best code found: unplaced
+vertices with columns c < c' never swap order, as 2c + 1 < 2c', so they are
+placed in column order (`graphs._least_code`).
 
 A record's distinct purity count is the largest rank of a cut with n // 2
 vertices on one side: moving one vertex across a cut moves its rank by at most 1,
@@ -26,10 +30,10 @@ from typing import Iterable, Iterator
 from .graphs import (
     Graph,
     _least_code,
+    _reach,
     cut_rank,
     family,
     graph_to_mask,
-    is_connected,
     write_graph6,
 )
 from .metrics import _ce, _level_cuts, ce_bounds
@@ -57,18 +61,18 @@ def _children(rows: tuple[int, ...], cols: list[int], connected: bool) -> Iterat
     """The least-code graphs whose last vertex deletes to the least-code graph with adjacency
     rows `rows` and columns `cols`, as (rows, columns); with `connected`, only connected ones."""
     k = len(rows)
+    full = (1 << (k + 1)) - 1
     # a parent's twins u < v: a neighbourhood with u but not v loses to its swap
     twins = [(1 << u, (1 << u) | (1 << v)) for v in range(k) for u in range(v)
              if (rows[u] ^ rows[v]) & ~((1 << u) | (1 << v)) == 0]
-    for s in range(1 << k):
+    # the new vertex moved to position j would put the top j bits of its column c there in
+    # place of cols[j], a lesser code unless c >> (k - j) >= cols[j], or c >= cols[j] << (k - j)
+    for c in range(max([cols[j] << (k - j) for j in range(1, k)], default=0), 1 << k):
+        s = int(format(c, f"0{k}b")[::-1], 2)  # the new row: vertex 0 least significant
         if any(s & pair == low for low, pair in twins):
             continue
-        c = int(format(s, f"0{k}b")[::-1], 2)  # the new column: vertex 0 most significant
-        # the new vertex moved to position j would put its top j bits there in place of cols[j]
-        if any(c >> (k - j) < cols[j] for j in range(1, k)):
-            continue
         child = tuple(row | (((s >> u) & 1) << k) for u, row in enumerate(rows)) + (s,)
-        if connected and not is_connected(Graph(k + 1, child)):
+        if connected and _reach(child, 1) != full:
             continue
         code = cols + [c]
         if not _least_code(child, code, True):
@@ -104,9 +108,11 @@ def _middle_rank(graph: Graph) -> int:
     return best
 
 
-def _record(graph: Graph, *, kind: str | None = None, size: int | None = None) -> SurveyRecord:
+def _record(graph: Graph, bounds: tuple[Fraction, Fraction], *, kind: str | None = None,
+            size: int | None = None) -> SurveyRecord:
+    """The record of `graph`, whose full-set CE bounds `ce_bounds(graph.n)` are `bounds`."""
     ce = _ce(graph, (1 << graph.n) - 1)
-    lo, hi = ce_bounds(graph.n)
+    lo, hi = bounds
     core_ce = _ce(graph, (1 << size) - 1) if kind == "snowflake" and size is not None else None
     return SurveyRecord(
         graph6=write_graph6(graph),
@@ -123,8 +129,10 @@ def _record(graph: Graph, *, kind: str | None = None, size: int | None = None) -
 
 def ce_survey(n: int, *, stretch: bool = False) -> list[SurveyRecord]:
     """One record per connected isomorphism class, sorted by (CE, graph6)."""
-    records = [_record(g) for g in enumerate_connected(n, stretch=stretch)]
-    records.sort(key=lambda r: (r.ce, r.graph6))
+    graphs = enumerate_connected(n, stretch=stretch)  # checks n before the bounds take it
+    bounds, scale = ce_bounds(n), 1 << (2 * n)  # every CE here is an integer over 4^n
+    records = [_record(g, bounds) for g in graphs]
+    records.sort(key=lambda r: (r.ce.numerator * (scale // r.ce.denominator), r.graph6))
     return records
 
 
@@ -147,5 +155,6 @@ def family_sweep(kind: str, sizes: Iterable[int]) -> list[SurveyRecord]:
     """CE(full set) per family member; snowflake records also carry the core-subset CE."""
     records = []
     for size in sizes:
-        records.append(_record(family(kind, size), kind=kind, size=size))
+        graph = family(kind, size)
+        records.append(_record(graph, ce_bounds(graph.n), kind=kind, size=size))
     return records

@@ -195,7 +195,7 @@ def test_purity_spectrum_no13_tallies():
         (Fraction(1, 4), 4),
         (Fraction(1, 2), 2),
     ]
-    assert survey._record(NO13).distinct_purities == 3
+    assert survey._record(NO13, ce_bounds(6)).distinct_purities == 3
 
 
 def test_purity_spectrum_counts_match_binomials():
@@ -287,7 +287,26 @@ def test_ce_report_full_set():
 def test_ce_report_subset():
     report = ce_report(NO13, [0])
     assert report.ce == Fraction(1, 4)
-    # full-set bounds for size 1 are (0, 0); subset CE legitimately exceeds them
-    assert report.bound_min == Fraction(0)
-    assert report.bound_max == Fraction(0)
-    assert not report.achieves_min and not report.achieves_max
+    # one qubit of a connected graph: 1/2 - 2^-2 <= CE <= 1 - (1 + 1/2)/2, both 1/4
+    assert report.bound_min == Fraction(1, 4)
+    assert report.bound_max == Fraction(1, 4)
+    assert report.achieves_min and report.achieves_max
+    ring = ce_report(family("ring", 5), [0, 1])
+    assert ring.ce == Fraction(7, 16)
+    # 1/2 - 2^-3, and 1 - (1 + 2/2 + 1/4)/4 with every purity at 2^-min(|A|, 5 - |A|)
+    assert (ring.bound_min, ring.bound_max) == (Fraction(3, 8), Fraction(7, 16))
+    assert ring.achieves_max and not ring.achieves_min
+
+
+def test_ce_report_bounds_on_a_disconnected_graph():
+    # an edge and an isolated vertex: A = {2} and A = {0, 1} are cuts of rank 0
+    g = from_edges(3, [(0, 1)])
+    with pytest.warns(DisconnectedGraphWarning):
+        full = ce_report(g)
+    assert full.ce == Fraction(1, 4)
+    # two components inside s: 1/2 - 2^(2 - 3 - 1); the connected ce_bounds(3) minimum 3/8 fails here
+    assert (full.bound_min, full.bound_max) == (Fraction(1, 4), Fraction(3, 8))
+    assert full.achieves_min
+    with pytest.warns(DisconnectedGraphWarning):
+        isolated = ce_report(g, [2])
+    assert (isolated.ce, isolated.bound_min, isolated.bound_max) == (0, 0, Fraction(1, 4))

@@ -32,7 +32,7 @@ from graphce.graphs import (
 )
 from graphce import metrics
 from graphce.cli import _fmt
-from graphce.metrics import _CHUNK_LOG2, _ce, _level_rank_counts, _sweep, _weights, ce_bounds
+from graphce.metrics import _CHUNK_LOG2, _ce, _level_rank_counts, _sweep, _weights, ce_bounds, ce_report
 from graphce.stabilizer import count_distinct_sets
 from graphce.survey import _middle_rank
 
@@ -163,6 +163,23 @@ def test_proper_cut_ranks_are_one_to_the_middle_level_max(g):
     assume(is_connected(g))
     ranks = {r for level in _sweep(g).levels[1:] for r, _ in level}
     assert ranks == set(range(1, max(_level_rank_counts(g, g.n // 2)) + 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph_and_sets(1))
+def test_ce_report_bounds_hold_for_every_subset(case):
+    g, s = case
+    assume(s)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", metrics.DisconnectedGraphWarning)
+        report = ce_report(g, QubitSet(g.n, s))
+    assert report.bound_min <= _ce(g, s) <= report.bound_max
+    k = s.bit_count()
+    upper = 1 - sum(Fraction(math.comb(k, j), 1 << min(j, g.n - j)) for j in range(k + 1)) / (1 << k)
+    assert report.bound_max == upper
+    if report.connected:
+        lower = Fraction(1, 2) - Fraction(1, 1 << (k + 1)) if s != (1 << g.n) - 1 else ce_bounds(g.n)[0]
+        assert report.bound_min == lower
 
 
 def test_ce_bounds_match_fraction_sums():

@@ -9,6 +9,8 @@ import pytest
 
 from graphce.cli import run
 from graphce.graphs import (
+    Graph,
+    _least_code,
     canonical_form,
     family,
     from_edges,
@@ -26,6 +28,7 @@ from graphce.metrics import (
     snowflake_subset_ce,
 )
 from graphce.survey import (
+    _children,
     ce_survey,
     distinct_ce_values,
     enumerate_connected,
@@ -97,6 +100,65 @@ def test_enumerate_representatives_are_canonical():
             total = pair_count(n)
             key = bytes([n]) + graph_to_mask(g).to_bytes((total + 7) // 8, "big")
             assert canonical_form(g) == key
+
+
+def order_mask(adj, order):
+    """Upper-triangle edge mask of the relabelling whose vertex i is old vertex order[i]."""
+    mask = 0
+    for j in range(1, len(order)):
+        for i in range(j):
+            mask = (mask << 1) | ((adj[order[i]] >> order[j]) & 1)
+    return mask
+
+
+def own_columns(adj):
+    """Column j of the graph as labelled: its adjacency to 0..j-1, vertex 0 most significant."""
+    return [sum(((adj[i] >> j) & 1) << (j - 1 - i) for i in range(j)) for j in range(len(adj))]
+
+
+def test_least_code_search_against_every_vertex_order():
+    # brute force over all 720 or 5040 orders; the search's column-bound prune must not
+    # lose the least mask (canonical_form), nor miss or invent a lower order (stop mode)
+    rng = random.Random(251)
+    for n, count in ((6, 30), (7, 12)):
+        for _ in range(count):
+            density = rng.choice((0.2, 0.5, 0.8))
+            g = from_edges(n, [(u, v) for v in range(n) for u in range(v) if rng.random() < density])
+            least = min(order_mask(g.adj, order) for order in permutations(range(n)))
+            assert canonical_form(g) == bytes([n]) + least.to_bytes((pair_count(n) + 7) // 8, "big")
+            assert _least_code(g.adj, own_columns(g.adj), True) == (graph_to_mask(g) != least)
+            h = mask_to_graph(least, n)
+            assert not _least_code(h.adj, own_columns(h.adj), True)
+
+
+def reference_children(rows, cols, connected):
+    """`_children` by a filter per candidate: every neighbourhood s < 2^k, each tested by the column pre-check."""
+    k = len(rows)
+    twins = [(1 << u, (1 << u) | (1 << v)) for v in range(k) for u in range(v)
+             if (rows[u] ^ rows[v]) & ~((1 << u) | (1 << v)) == 0]
+    for s in range(1 << k):
+        if any(s & pair == low for low, pair in twins):
+            continue
+        c = int(format(s, f"0{k}b")[::-1], 2)
+        if any(c >> (k - j) < cols[j] for j in range(1, k)):
+            continue
+        child = tuple(row | (((s >> u) & 1) << k) for u, row in enumerate(rows)) + (s,)
+        if connected and not is_connected(Graph(k + 1, child)):
+            continue
+        code = cols + [c]
+        if not _least_code(child, code, True):
+            yield child, code
+
+
+def test_children_candidate_range_matches_the_per_candidate_filter():
+    level = [((0,), [0])]
+    for k in range(1, 7):
+        for rows, cols in level:
+            for connected in (False, True):
+                got = sorted(_children(rows, cols, connected))
+                assert got == sorted(reference_children(rows, cols, connected)), (rows, connected)
+        level = [child for rows, cols in level for child in _children(rows, cols, False)]
+    assert len(level) == 1044  # graphs on 7 vertices, connected or not (OEIS A000088)
 
 
 def test_ce_survey_n3_single_value():
