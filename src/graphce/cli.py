@@ -21,7 +21,7 @@ from . import survey
 from .graphs import (
     FAMILY_KINDS,
     Graph,
-    QubitSet,
+    _members,
     cut_rank,
     family,
     parse_edge_list,
@@ -70,8 +70,9 @@ def _load_graph(args: argparse.Namespace) -> Graph:
     return family(args.family, args.size)
 
 
-def _parse_labels(text: str, n: int) -> QubitSet:
-    members = []
+def _parse_labels(text: str, n: int) -> int:
+    """The vertex mask of comma-separated 1-indexed labels; repeats collapse."""
+    mask = 0
     for part in text.split(","):
         part = part.strip()
         if not part:
@@ -82,23 +83,23 @@ def _parse_labels(text: str, n: int) -> QubitSet:
             raise UsageError(f"bad qubit label {part!r}") from None
         if not 1 <= label <= n:
             raise UsageError(f"qubit label {label} out of range 1..{n}")
-        members.append(label - 1)
-    if not members:
+        mask |= 1 << (label - 1)
+    if not mask:
         raise UsageError("empty qubit subset")
-    return QubitSet.from_members(n, members)
+    return mask
 
 
-def _parse_cut(text: str, n: int) -> QubitSet:
+def _parse_cut(text: str, n: int) -> int:
     if text.count("|") != 1:
         raise UsageError("--cut expects the form \"A|B\", e.g. \"4,6|1,2,3,5\"")
     left, right = text.split("|")
-    a_set = _parse_labels(left, n)
-    b_set = _parse_labels(right, n)
-    if not a_set.isdisjoint(b_set):
+    a_mask = _parse_labels(left, n)
+    b_mask = _parse_labels(right, n)
+    if a_mask & b_mask:
         raise UsageError("cut sides overlap")
-    if (a_set.members | b_set.members) != (1 << n) - 1:
+    if (a_mask | b_mask) != (1 << n) - 1:
         raise UsageError(f"cut sides must partition all {n} qubits")
-    return b_set
+    return b_mask
 
 
 def _check_budget(args: argparse.Namespace, log2: int, budget_log2: int, work: str) -> None:
@@ -178,12 +179,13 @@ def _cmd_ce(args: argparse.Namespace, out) -> int:
     graph = _load_graph(args)
     subset = _parse_labels(args.subset, graph.n) if args.subset is not None else None
     # the kernel visits 2^(|s| - cut_rank(s)) elements, all 2^n for the full set
-    visit_log2 = len(subset) - cut_rank(graph, subset.members) if subset else graph.n
+    visit_log2 = subset.bit_count() - cut_rank(graph, subset) if subset else graph.n
     _check_budget(args, visit_log2, CE_BUDGET_LOG2, _VISIT)
+    members = _members(subset) if subset else range(graph.n)
     if args.format == "plain":  # the other formats carry graph6, which caps n at 62
-        out.write(_fmt(concentratable_entanglement(graph, subset or range(graph.n)), args.decimal) + "\n")
+        out.write(_fmt(concentratable_entanglement(graph, members), args.decimal) + "\n")
         return 0
-    report = ce_report(graph, subset)
+    report = ce_report(graph, members)
     row = {
         "graph6": report.graph6,
         "n": report.n,
@@ -207,8 +209,8 @@ def _cmd_purity(args: argparse.Namespace, out) -> int:
     graph = _load_graph(args)
     if (args.subset is None) == (args.cut is None):
         raise UsageError("purity needs exactly one of --subset or --cut")
-    b_set = _parse_labels(args.subset, graph.n) if args.subset is not None else _parse_cut(args.cut, graph.n)
-    out.write(_fmt(purity(graph, b_set), args.decimal) + "\n")
+    b_mask = _parse_labels(args.subset, graph.n) if args.subset is not None else _parse_cut(args.cut, graph.n)
+    out.write(_fmt(purity(graph, _members(b_mask)), args.decimal) + "\n")
     return 0
 
 
@@ -322,13 +324,12 @@ def _verify_suite(seed: int, trials: int, out) -> bool:
     def lemma_case() -> tuple[bool, Graph, str]:
         g = random_connected_graph(rng.randint(2, 8), rng)
         size = rng.randint(1, g.n - 1) if g.n > 1 else 1
-        a_set = QubitSet.from_members(g.n, rng.sample(range(g.n), size))
+        a_set = sorted(rng.sample(range(g.n), size))
         return dense.check_lemma(g, a_set), g, f", A={{{_labels_1idx(a_set)}}}"
 
     def purity_case() -> tuple[bool, Graph, str]:
         g = random_connected_graph(rng.randint(2, 10), rng)
-        members = [q for q in range(g.n) if rng.random() < 0.5]
-        b_set = QubitSet.from_members(g.n, members)
+        b_set = [q for q in range(g.n) if rng.random() < 0.5]
         exact = float(purity(g, b_set))
         approx = dense.dense_purity(dense.build_state(g), b_set)
         return abs(exact - approx) <= 1e-10, g, f", B={{{_labels_1idx(b_set)}}}"

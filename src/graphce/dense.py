@@ -1,6 +1,8 @@
 """Brute-force state-vector reference for cross-checking the stabilizer engine.
 
-Amplitude indices put qubit 0 at the most significant bit.  Everything here
+A state is a plain complex ndarray of 2^n amplitudes, indexed with qubit 0 at
+the most significant bit; n comes from its length.  Vertex sets are iterables
+of 0-indexed vertices and outcomes ints, as in `stabilizer`.  Everything here
 is float/complex and deliberately independent of the exact rational code
 paths it verifies.
 
@@ -15,14 +17,13 @@ one base state and compares the whole Gram matrix at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graphs import Graph, QubitSet, induced_subgraph
-from .stabilizer import OutcomeBitstring, graph_generators, measure_z, unitary_support
+from .graphs import Graph, _mask, _members, induced_subgraph
+from .stabilizer import graph_generators, measure_z, unitary_support
 
 DENSE_MAX_QUBITS = 14
 MEASURE_MAX_QUBITS = 12
@@ -32,16 +33,11 @@ STATE_TOL = 1e-12
 MATCH_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class StateVector:
-    """A pure state on n qubits; amplitudes indexed with qubit 0 as the MSB."""
-
-    n: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.amplitudes.shape != (1 << self.n,):
-            raise ValueError(f"expected {1 << self.n} amplitudes, got shape {self.amplitudes.shape}")
+def _qubit_count(state: np.ndarray) -> int:
+    """n for a state of 2^n amplitudes."""
+    if state.ndim != 1 or not state.size or state.size & (state.size - 1):
+        raise ValueError(f"a state needs 2^n amplitudes in one axis, got shape {state.shape}")
+    return state.size.bit_length() - 1
 
 
 def _index_mask(qubit_bits: int, n: int) -> int:
@@ -70,7 +66,7 @@ def _bits(n: int) -> np.ndarray:
     return bits
 
 
-def build_state(graph: Graph) -> StateVector:
+def build_state(graph: Graph) -> np.ndarray:
     """|+>^n with a controlled-Z applied across every edge."""
     n = graph.n
     if n > DENSE_MAX_QUBITS:
@@ -80,7 +76,7 @@ def build_state(graph: Graph) -> StateVector:
     # b^T A b counts every edge inside index i twice, so bit 1 of it is the CZ phase
     twice_edges = np.einsum("ij,ij->i", bits @ adj, bits).astype(np.int64)
     amps = (1.0 - (twice_edges & 2)) * 2.0 ** (-n / 2)
-    return StateVector(n, amps.astype(np.complex128))
+    return amps.astype(np.complex128)
 
 
 def _apply(amps: np.ndarray, gens: Sequence[tuple[int, int, int]], n: int) -> np.ndarray:
@@ -93,15 +89,15 @@ def _apply(amps: np.ndarray, gens: Sequence[tuple[int, int, int]], n: int) -> np
     return signs * (1.0 - 2.0 * _parity(src & z_masks)) * amps[..., src]
 
 
-def apply_generator(state: StateVector, gen: tuple[int, int, int]) -> StateVector:
+def apply_generator(state: np.ndarray, gen: tuple[int, int, int]) -> np.ndarray:
     """Apply a signed Pauli string (sign, x, z), sign * prod X^x Z^z, to the state."""
-    return StateVector(state.n, _apply(state.amplitudes, [gen], state.n)[0])
+    return _apply(state, [gen], _qubit_count(state))[0]
 
 
-def stabilizes(state: StateVector, gens: Sequence[tuple[int, int, int]], tol: float = STATE_TOL) -> bool:
+def stabilizes(state: np.ndarray, gens: Sequence[tuple[int, int, int]], tol: float = STATE_TOL) -> bool:
     """True iff every generator fixes the state: S|psi> = |psi> within tol."""
-    out = _apply(state.amplitudes, gens, state.n)
-    return bool(np.max(np.abs(out - state.amplitudes), initial=0.0) <= tol)
+    out = _apply(state, gens, _qubit_count(state))
+    return bool(np.max(np.abs(out - state), initial=0.0) <= tol)
 
 
 def check_stabilizer(graph: Graph, tol: float = STATE_TOL) -> bool:
@@ -112,51 +108,52 @@ def check_stabilizer(graph: Graph, tol: float = STATE_TOL) -> bool:
         return stabilizes(state, gens, tol)
     # row S of products is prod_{a in S} g_a |G>, applied in ascending a; the rows
     # of the singletons S = {a} are the generators themselves
-    products = state.amplitudes[np.newaxis]
+    products = state[np.newaxis]
     for gen in gens:
         products = np.concatenate((products, _apply(products, [gen], graph.n)[:, 0]))
-    return bool(np.max(np.abs(products - state.amplitudes)) <= tol)
+    return bool(np.max(np.abs(products - state)) <= tol)
 
 
-def reduced_density_matrix(state: StateVector, b: QubitSet) -> np.ndarray:
+def reduced_density_matrix(state: np.ndarray, b: Iterable[int]) -> np.ndarray:
     """rho_B after tracing out the complement, ordered by ascending B members."""
-    n = state.n
-    b_list = list(b)
-    a_list = list(b.complement())
-    tensor = state.amplitudes.reshape((2,) * n) if n else state.amplitudes.reshape(())
+    n = _qubit_count(state)
+    b_mask = _mask(n, b)
+    b_list = _members(b_mask)
+    a_list = _members(((1 << n) - 1) ^ b_mask)
+    tensor = state.reshape((2,) * n) if n else state.reshape(())
     mat = np.transpose(tensor, axes=b_list + a_list).reshape(1 << len(b_list), 1 << len(a_list))
     return mat @ mat.conj().T
 
 
-def dense_purity(state: StateVector, b: QubitSet) -> float:
+def dense_purity(state: np.ndarray, b: Iterable[int]) -> float:
     """Tr(rho_B^2) from the explicitly assembled reduced density matrix."""
     rho = reduced_density_matrix(state, b)
     return float(np.sum(np.abs(rho) ** 2))
 
 
-def _project_and_drop(state: StateVector, a: int, outcome: int) -> StateVector:
+def _project_and_drop(state: np.ndarray, a: int, outcome: int) -> np.ndarray:
     """Project qubit a onto the Z eigenstate for the outcome, renormalize, drop the qubit."""
-    n = state.n
+    n = _qubit_count(state)
     keep_bit = 0 if outcome == 1 else 1
     p = n - 1 - a
     sub = _indices(n - 1)
     full = ((sub >> np.uint64(p)) << np.uint64(p + 1)) | np.uint64(keep_bit << p) | (sub & np.uint64((1 << p) - 1))
-    amps = state.amplitudes[full]
+    amps = state[full]
     norm = np.linalg.norm(amps)
     if norm < 1e-15:
         raise ValueError(f"outcome {outcome} on qubit {a} has zero probability")
-    return StateVector(n - 1, amps / norm)
+    return amps / norm
 
 
 def _drop_bit(bits: int, position: int) -> int:
     return ((bits >> (position + 1)) << position) | (bits & ((1 << position) - 1))
 
 
-def outcome_state(graph: Graph, a_set: QubitSet, z: OutcomeBitstring) -> StateVector:
+def outcome_state(graph: Graph, a_set: Iterable[int], z: int) -> np.ndarray:
     """U(z)|G-A> on the surviving qubits, relabelled in ascending order."""
-    b_set = a_set.complement()
-    sub = build_state(induced_subgraph(graph, b_set))
-    return apply_generator(sub, (1, 0, unitary_support(graph, a_set, z).bits))
+    a = _mask(graph.n, a_set)
+    sub = build_state(induced_subgraph(graph, _members(((1 << graph.n) - 1) ^ a)))
+    return apply_generator(sub, (1, 0, unitary_support(graph, _members(a), z)))
 
 
 def check_measurement_rule(graph: Graph, a: int, outcome: int, tol: float = MATCH_TOL) -> bool:
@@ -173,10 +170,8 @@ def check_measurement_rule(graph: Graph, a: int, outcome: int, tol: float = MATC
     state = build_state(graph)
     projected = _project_and_drop(state, a, outcome)
 
-    a_only = QubitSet.from_members(n, [a])
-    z = OutcomeBitstring.from_int(a_only, 0 if outcome == 1 else 1)
-    expected = outcome_state(graph, a_only, z)
-    overlap = abs(np.vdot(expected.amplitudes, projected.amplitudes))
+    expected = outcome_state(graph, [a], 0 if outcome == 1 else 1)
+    overlap = abs(np.vdot(expected, projected))
     if abs(overlap - 1.0) > tol:
         return False
 
@@ -190,19 +185,20 @@ def check_measurement_rule(graph: Graph, a: int, outcome: int, tol: float = MATC
     return stabilizes(projected, survivors, tol)
 
 
-def check_lemma(graph: Graph, a_set: QubitSet, tol: float = MATCH_TOL) -> bool:
+def check_lemma(graph: Graph, a_set: Iterable[int], tol: float = MATCH_TOL) -> bool:
     """Equal unitary supports give identical states; different supports give orthogonal ones."""
     n = graph.n
     if n > MEASURE_MAX_QUBITS:
         raise ValueError(f"lemma check limited to n <= {MEASURE_MAX_QUBITS}, got {n}")
-    if len(a_set) > LEMMA_MAX_TRACED:
-        raise ValueError(f"lemma check limited to |A| <= {LEMMA_MAX_TRACED}, got {len(a_set)}")
-    base = build_state(induced_subgraph(graph, a_set.complement()))
-    supports = np.array([
-        _index_mask(unitary_support(graph, a_set, OutcomeBitstring.from_int(a_set, value)).bits, base.n)
-        for value in range(1 << len(a_set))
-    ], dtype=np.uint64)
+    a = _mask(n, a_set)
+    k = a.bit_count()
+    if k > LEMMA_MAX_TRACED:
+        raise ValueError(f"lemma check limited to |A| <= {LEMMA_MAX_TRACED}, got {k}")
+    members = _members(a)
+    base = build_state(induced_subgraph(graph, _members(((1 << n) - 1) ^ a)))
+    supports = np.array([_index_mask(unitary_support(graph, members, z), n - k) for z in range(1 << k)],
+                        dtype=np.uint64)
     # U(z) is the Z string on the support, so outcome state z is a sign row times the base
-    states = (1.0 - 2.0 * _parity(supports[:, np.newaxis] & _indices(base.n))) * base.amplitudes
+    states = (1.0 - 2.0 * _parity(supports[:, np.newaxis] & _indices(n - k))) * base
     gram = states @ states.conj().T
     return not np.any(np.abs(gram - (supports[:, np.newaxis] == supports)) > tol)

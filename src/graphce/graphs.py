@@ -35,58 +35,19 @@ class Graph6Error(ValueError):
         self.offset = offset
 
 
-@dataclass(frozen=True)
-class QubitSet:
-    """A subset of {0, ..., universe-1} stored as a bitmask."""
-
-    universe: int
-    members: int = 0
-
-    def __post_init__(self) -> None:
-        if self.universe < 0:
-            raise ValueError(f"negative universe {self.universe}")
-        if self.members >> self.universe:
-            raise ValueError(f"members 0x{self.members:x} exceed universe {self.universe}")
-
-    @classmethod
-    def from_members(cls, universe: int, members: Iterable[int]) -> QubitSet:
-        mask = 0
-        for m in members:
-            if not 0 <= m < universe:
-                raise ValueError(f"member {m} out of range for universe {universe}")
-            mask |= 1 << m
-        return cls(universe, mask)
-
-    @classmethod
-    def full(cls, universe: int) -> QubitSet:
-        return cls(universe, (1 << universe) - 1)
-
-    def __len__(self) -> int:
-        return self.members.bit_count()
-
-    def __iter__(self):
-        return (i for i in range(self.universe) if (self.members >> i) & 1)
-
-    def __contains__(self, i: int) -> bool:
-        return 0 <= i < self.universe and bool((self.members >> i) & 1)
-
-    def complement(self) -> QubitSet:
-        return QubitSet(self.universe, ~self.members & ((1 << self.universe) - 1))
-
-    def isdisjoint(self, other: QubitSet) -> bool:
-        return not (self.members & other.members)
-
-    def __str__(self) -> str:
-        return "{" + ",".join(str(i) for i in self) + "}"
+def _mask(n: int, members: Iterable[int]) -> int:
+    """The bitmask of `members`, 0-indexed vertices of an n-vertex graph, in any order and with repeats."""
+    mask = 0
+    for v in members:
+        if not 0 <= v < n:
+            raise ValueError(f"vertex {v} out of range for n={n}")
+        mask |= 1 << v
+    return mask
 
 
-def _as_qubitset(universe: int, value: QubitSet | Iterable[int]) -> QubitSet:
-    """`value` as a QubitSet over `universe`; a QubitSet over another universe is refused."""
-    if isinstance(value, QubitSet):
-        if value.universe != universe:
-            raise ValueError(f"qubit set universe {value.universe} != graph size {universe}")
-        return value
-    return QubitSet.from_members(universe, value)
+def _members(mask: int) -> list[int]:
+    """The vertices of a bitmask, ascending."""
+    return [v for v in range(mask.bit_length()) if mask >> v & 1]
 
 
 @dataclass(frozen=True)
@@ -253,9 +214,9 @@ def is_connected(graph: Graph) -> bool:
     return _reach(graph.adj, 1) == (1 << graph.n) - 1
 
 
-def induced_subgraph(graph: Graph, keep: QubitSet) -> Graph:
-    """The subgraph on `keep`, relabelled 0..|keep|-1 in ascending vertex order."""
-    members = list(keep)
+def induced_subgraph(graph: Graph, keep: Iterable[int]) -> Graph:
+    """The subgraph on the vertices `keep`, relabelled 0..|keep|-1 in ascending vertex order."""
+    members = _members(_mask(graph.n, keep))
     # column v of the kept rows holds v's kept neighbours, already relabelled
     cols = _transpose([graph.adj[v] for v in members], graph.n)
     return Graph(len(members), tuple(cols[v] for v in members))
@@ -286,6 +247,11 @@ def mask_to_graph(mask: int, n: int) -> Graph:
 # --- graph6 -------------------------------------------------------------------
 
 
+def _check_text(text: str, form: str) -> None:
+    if not isinstance(text, str):
+        raise TypeError(f"{form} input must be str, not {type(text).__name__}")
+
+
 def write_graph6(graph: Graph) -> str:
     """Encode in graph6 short form (printable bytes, n <= 62)."""
     n = graph.n
@@ -299,6 +265,7 @@ def write_graph6(graph: Graph) -> str:
 
 def parse_graph6(text: str) -> Graph:
     """Decode a graph6 short-form string; strict about length and padding."""
+    _check_text(text, "graph6")
     s = text.strip()
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<"):]
@@ -341,6 +308,7 @@ def parse_edge_list(text: str) -> Graph:
 
     One OR per pair builds the rows and checks the pair on the way; only a rejected
     input is walked again, line by line, by `_edge_list_error`, to name its first bad line."""
+    _check_text(text, "edge-list")
     lines = [line for line in map(str.strip, text.splitlines()) if line and line[0] != "#"]
     try:  # no count line, a count out of range, a line that is not one pair, or a bad label
         count, *pairs = lines

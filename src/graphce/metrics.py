@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Iterator
 
-from .graphs import Graph, QubitSet, _as_qubitset, _eliminate, _reach, cut_rank, is_connected, write_graph6
+from .graphs import MAX_VERTICES, Graph, _eliminate, _mask, _members, _reach, cut_rank, is_connected, write_graph6
 
 
 class DisconnectedGraphWarning(UserWarning):
@@ -38,16 +38,16 @@ def _check_connected(graph: Graph) -> bool:
     return connected
 
 
-def purity(graph: Graph, b: QubitSet | Iterable[int]) -> Fraction:
+def purity(graph: Graph, b: Iterable[int]) -> Fraction:
     """Tr rho_B^2 = 2^-r, with r the cut-rank of (B, complement)."""
-    b_set = _as_qubitset(graph.n, b)
+    b_mask = _mask(graph.n, b)
     _check_connected(graph)
-    return Fraction(1, 1 << cut_rank(graph, b_set.members))
+    return Fraction(1, 1 << cut_rank(graph, b_mask))
 
 
-def schmidt_rank(graph: Graph, b: QubitSet | Iterable[int]) -> int:
+def schmidt_rank(graph: Graph, b: Iterable[int]) -> int:
     """-log2 of the reduced-state purity; an exact integer for graph states."""
-    return cut_rank(graph, _as_qubitset(graph.n, b).members)
+    return cut_rank(graph, _mask(graph.n, b))
 
 
 @dataclass(frozen=True)
@@ -254,9 +254,9 @@ def _ce(graph: Graph, s: int) -> Fraction:
     return Fraction((1 << (2 * k)) - acc, 1 << (2 * k))
 
 
-def concentratable_entanglement(graph: Graph, s: QubitSet | Iterable[int]) -> Fraction:
+def concentratable_entanglement(graph: Graph, s: Iterable[int]) -> Fraction:
     """1 - 2^-|s| times the sum of reduced purities over every subset of s."""
-    ce = _ce(graph, _as_qubitset(graph.n, s).members)
+    ce = _ce(graph, _mask(graph.n, s))
     _check_connected(graph)
     return ce
 
@@ -267,8 +267,8 @@ def ce_bounds(n: int) -> tuple[Fraction, Fraction]:
     The minimum holds every reduced purity at 1/2; the maximum holds every
     bipartition purity at 2^-min(|A|,|B|).
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    if not 1 <= n <= MAX_VERTICES:
+        raise ValueError(f"need 1 <= n <= {MAX_VERTICES}, got {n}")
     return _bounds(n, n, 1)
 
 
@@ -298,8 +298,8 @@ def _subset_bounds(graph: Graph, s: int) -> tuple[Fraction, Fraction]:
 
 def snowflake_subset_ce(n: int) -> Fraction:
     """Closed form 1 - (3/4)^n for pair-free n-qubit subsets of a 2n-qubit snowflake."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    if not 1 <= n <= MAX_VERTICES // 2:  # the snowflake has 2n vertices
+        raise ValueError(f"need 1 <= n <= {MAX_VERTICES // 2}, got {n}")
     return Fraction((1 << (2 * n)) - 3**n, 1 << (2 * n))
 
 
@@ -318,16 +318,16 @@ class CEReport:
     achieves_max: bool
 
 
-def ce_report(graph: Graph, s: QubitSet | Iterable[int] | None = None) -> CEReport:
+def ce_report(graph: Graph, s: Iterable[int] | None = None) -> CEReport:
     """Evaluate CE and bound attainment."""
-    s_set = QubitSet.full(graph.n) if s is None else _as_qubitset(graph.n, s)
-    ce = _ce(graph, s_set.members)
+    s_mask = (1 << graph.n) - 1 if s is None else _mask(graph.n, s)
+    ce = _ce(graph, s_mask)
     connected = _check_connected(graph)
-    lo, hi = _subset_bounds(graph, s_set.members)
+    lo, hi = _subset_bounds(graph, s_mask)
     return CEReport(
         graph6=write_graph6(graph),
         n=graph.n,
-        subset=tuple(s_set),
+        subset=tuple(_members(s_mask)),
         ce=ce,
         bound_min=lo,
         bound_max=hi,

@@ -21,7 +21,7 @@ from graphce.dense import (
     outcome_state,
 )
 from graphce.graphs import (
-    QubitSet,
+    _members,
     canonical_form,
     family,
     from_edges,
@@ -35,7 +35,6 @@ from graphce.metrics import (
     snowflake_subset_ce,
 )
 from graphce.stabilizer import (
-    OutcomeBitstring,
     count_distinct_sets,
     count_distinct_sets_fast,
     support_multiplicities,
@@ -98,7 +97,7 @@ def test_criterion_4_snowflake():
         ok &= concentratable_entanglement(g, range(n)) == expected
         ok &= concentratable_entanglement(g, range(n, 2 * n)) == expected
         for i in range(n):
-            pair = QubitSet.from_members(2 * n, [i, i + n])
+            pair = [i, i + n]
             ok &= count_distinct_sets(g, pair) == 2
             ok &= count_distinct_sets_fast(g, pair) == 2
     _report(4, "snowflake subset CE = 1 - (3/4)^n and pair trace-out k = 2", ok, time.perf_counter() - start, 10.0)
@@ -131,7 +130,7 @@ def test_criterion_7_oracle_equivalence():
     ok = True
     for _ in range(500):
         g = random_connected_graph(rng.randint(2, 10), rng)
-        b = QubitSet(g.n, rng.getrandbits(g.n))
+        b = _members(rng.getrandbits(g.n))
         exact = float(purity(g, b))
         ok &= abs(dense_purity(build_state(g), b) - exact) <= 1e-10
     for _ in range(200):
@@ -147,7 +146,7 @@ def test_criterion_8_theorem_internals():
     for n in range(2, 8):
         for g in enumerate_connected(n, stretch=n >= 7):
             for members in range(1 << n):
-                a = QubitSet(n, members)
+                a = _members(members)
                 k_fast = count_distinct_sets_fast(g, a)
                 ok &= count_distinct_sets(g, a) == k_fast
     # dense multiplicity law on 100 random cases, |A| <= 6
@@ -155,12 +154,12 @@ def test_criterion_8_theorem_internals():
     for _ in range(100):
         g = random_connected_graph(rng.randint(2, 9), rng)
         size = rng.randint(1, min(6, g.n - 1))
-        a = QubitSet.from_members(g.n, rng.sample(range(g.n), size))
+        a = rng.sample(range(g.n), size)
         k = count_distinct_sets_fast(g, a)
         states: list[np.ndarray] = []
         tally: list[int] = []
         for value in range(1 << size):
-            vec = outcome_state(g, a, OutcomeBitstring.from_int(a, value)).amplitudes
+            vec = outcome_state(g, a, value)
             for i, ref in enumerate(states):
                 if abs(np.vdot(ref, vec)) > 0.5:
                     tally[i] += 1
@@ -181,8 +180,8 @@ def test_criterion_9_lemma_properties():
     for _ in range(100):
         g = random_connected_graph(rng.randint(2, 10), rng)
         size = rng.randint(1, min(6, g.n - 1))
-        a = QubitSet.from_members(g.n, rng.sample(range(g.n), size))
-        supports = [unitary_support(g, a, OutcomeBitstring.from_int(a, v)).bits for v in range(1 << size)]
+        a = rng.sample(range(g.n), size)
+        supports = [unitary_support(g, a, v) for v in range(1 << size)]
         for x in range(1 << size):
             for y in range(1 << size):
                 ok &= supports[x ^ y] == (supports[x] ^ supports[y])

@@ -312,6 +312,23 @@ def test_subset_budget_charges_the_elements_the_kernel_visits(capsys):
     assert "ce would visit 2^29 stabilizer elements, over the budget of 2^26" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fmt", ["plain", "csv"])
+def test_repeated_subset_labels_count_once(fmt, monkeypatch):
+    import csv
+
+    # the subset is its set of qubits: the same bytes as without the repeats, and |s| = 2
+    # charged against the budget, 2^(2 - 1) elements on K_40
+    monkeypatch.setattr("graphce.cli.CE_BUDGET_LOG2", 1)
+    for source in (["--graph6", "EhC_"], ["--family", "complete", "--size", "40"]):
+        argv = ["ce", *source, "--format", fmt, "--subset"]
+        code, text = invoke(argv + ["3,1,3"])
+        assert (code, text) == invoke(argv + ["1,3"])
+        assert code == 0
+        if fmt == "csv":
+            assert next(csv.DictReader(text.splitlines()))["subset"] == "1,3"
+    assert invoke(["ce", "--family", "complete", "--size", "40", "--subset", "1,2,3"])[0] == 2
+
+
 @pytest.mark.parametrize("family, size, ce", [
     ("ring", 21, "2072675/2097152"),
     ("ring", 24, "16673533/16777216"),

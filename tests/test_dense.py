@@ -1,7 +1,7 @@
 """Tests for the state-vector oracle and its agreement with the stabilizer engine."""
 
-import dataclasses
 import random
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from graphce.dense import (
     DENSE_MAX_QUBITS,
     MATCH_TOL,
-    StateVector,
     _project_and_drop,
     apply_generator,
     build_state,
@@ -23,10 +22,9 @@ from graphce.dense import (
     reduced_density_matrix,
     stabilizes,
 )
-from graphce.graphs import QubitSet, family, from_edges, mask_to_graph, pair_count, random_connected_graph
+from graphce.graphs import _members, family, from_edges, mask_to_graph, pair_count, random_connected_graph
 from graphce.metrics import purity
 from graphce.stabilizer import (
-    OutcomeBitstring,
     graph_generators,
     measure_z,
     support_multiplicities,
@@ -44,19 +42,19 @@ def graphs(max_n):
 
 def test_build_state_single_vertex():
     sv = build_state(from_edges(1, []))
-    assert np.allclose(sv.amplitudes, np.array([1, 1]) / np.sqrt(2))
+    assert np.allclose(sv, np.array([1, 1]) / np.sqrt(2))
 
 
 def test_build_state_k2():
     sv = build_state(from_edges(2, [(0, 1)]))
-    assert np.allclose(sv.amplitudes, np.array([1, 1, 1, -1]) / 2)
+    assert np.allclose(sv, np.array([1, 1, 1, -1]) / 2)
 
 
 def test_build_state_no13_amplitudes():
     sv = build_state(NO13)
-    assert np.allclose(np.abs(sv.amplitudes), 2.0**-3)
+    assert np.allclose(np.abs(sv), 2.0**-3)
     # sign of |111111> is the parity of the edge count (5 edges)
-    assert np.isclose(sv.amplitudes[-1].real, -(2.0**-3))
+    assert np.isclose(sv[-1].real, -(2.0**-3))
     assert check_stabilizer(NO13)
 
 
@@ -66,11 +64,11 @@ def test_build_state_guard():
 
 
 def test_dense_purity_goldens():
-    assert np.isclose(dense_purity(build_state(from_edges(2, [(0, 1)])), QubitSet.from_members(2, [0])), 0.5)
+    assert np.isclose(dense_purity(build_state(from_edges(2, [(0, 1)])), [0]), 0.5)
     sv = build_state(NO13)
-    assert np.isclose(dense_purity(sv, QubitSet.from_members(6, [0, 1, 4])), 0.25)
-    assert np.isclose(dense_purity(sv, QubitSet.full(6)), 1.0)
-    assert np.isclose(dense_purity(sv, QubitSet(6, 0)), 1.0)
+    assert np.isclose(dense_purity(sv, [0, 1, 4]), 0.25)
+    assert np.isclose(dense_purity(sv, range(6)), 1.0)
+    assert np.isclose(dense_purity(sv, []), 1.0)
 
 
 def test_check_stabilizer_families():
@@ -93,7 +91,7 @@ def test_measurement_rule_k2():
     assert check_measurement_rule(k2, 0, -1)
     # spell the -1 case out: remaining qubit ends in |-> = Z|+>
     sv = build_state(k2)
-    kept = sv.amplitudes[2:]  # qubit 0 projected onto |1>
+    kept = sv[2:]  # qubit 0 projected onto |1>
     kept = kept / np.linalg.norm(kept)
     minus = np.array([1, -1]) / np.sqrt(2)
     assert np.isclose(abs(np.vdot(minus, kept)), 1.0)
@@ -103,11 +101,11 @@ def test_measurement_rule_no13_qubit6():
     assert check_measurement_rule(NO13, 5, -1)
     # dense projection equals Z_3 |G - {6}> up to phase
     sv = build_state(NO13)
-    amps = sv.amplitudes.reshape(32, 2)[:, 1]
+    amps = sv.reshape(32, 2)[:, 1]
     amps = amps / np.linalg.norm(amps)
     reduced = build_state(from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)]))
     expected = apply_generator(reduced, (1, 0, 1 << 2))
-    assert np.isclose(abs(np.vdot(expected.amplitudes, amps)), 1.0)
+    assert np.isclose(abs(np.vdot(expected, amps)), 1.0)
 
 
 def test_measurement_rule_random_cases():
@@ -118,17 +116,16 @@ def test_measurement_rule_random_cases():
 
 
 def test_lemma_no13_and_snowflake():
-    assert check_lemma(NO13, QubitSet.from_members(6, [3, 5]))
+    assert check_lemma(NO13, [3, 5])
     sf = family("snowflake", 2)
-    assert check_lemma(sf, QubitSet.from_members(4, [0, 2]))
+    assert check_lemma(sf, [0, 2])
 
 
 def test_lemma_explicit_orthogonality():
-    a = QubitSet.from_members(6, [3, 5])
-    s00 = outcome_state(NO13, a, OutcomeBitstring.from_int(a, 0))
-    s10 = outcome_state(NO13, a, OutcomeBitstring.from_int(a, 1))
-    assert np.isclose(np.vdot(s00.amplitudes, s00.amplitudes).real, 1.0)
-    assert abs(np.vdot(s00.amplitudes, s10.amplitudes)) < 1e-10
+    s00 = outcome_state(NO13, [3, 5], 0)
+    s10 = outcome_state(NO13, [3, 5], 1)
+    assert np.isclose(np.vdot(s00, s00).real, 1.0)
+    assert abs(np.vdot(s00, s10)) < 1e-10
 
 
 def test_lemma_random_cases():
@@ -136,15 +133,14 @@ def test_lemma_random_cases():
     for _ in range(25):
         g = random_connected_graph(rng.randint(2, 9), rng)
         size = rng.randint(1, g.n - 1)
-        a = QubitSet.from_members(g.n, rng.sample(range(g.n), size))
-        assert check_lemma(g, a)
+        assert check_lemma(g, rng.sample(range(g.n), size))
 
 
 def test_oracle_purity_equivalence_sample():
     rng = random.Random(101)
     for _ in range(60):
         g = random_connected_graph(rng.randint(2, 10), rng)
-        b = QubitSet(g.n, rng.getrandbits(g.n))
+        b = _members(rng.getrandbits(g.n))
         exact = float(purity(g, b))
         assert abs(dense_purity(build_state(g), b) - exact) <= 1e-10
 
@@ -161,7 +157,7 @@ def test_subset_ce_matches_dense_power_set():
         total = 0.0
         for picked in range(1 << size):
             alpha = [members[i] for i in range(size) if (picked >> i) & 1]
-            total += dense_purity(state, QubitSet.from_members(g.n, alpha))
+            total += dense_purity(state, alpha)
         oracle_value = 1.0 - total / (1 << size)
         exact = concentratable_entanglement(g, members)
         assert abs(oracle_value - float(exact)) <= 1e-10
@@ -172,13 +168,12 @@ def test_distinct_dense_states_match_multiplicities():
     for _ in range(25):
         g = random_connected_graph(rng.randint(2, 9), rng)
         size = rng.randint(1, min(6, g.n - 1))
-        a = QubitSet.from_members(g.n, rng.sample(range(g.n), size))
+        a = rng.sample(range(g.n), size)
         expected = support_multiplicities(g, a)
         states: dict[int, np.ndarray] = {}
         tally: dict[int, int] = {}
         for value in range(1 << size):
-            z = OutcomeBitstring.from_int(a, value)
-            vec = outcome_state(g, a, z).amplitudes
+            vec = outcome_state(g, a, value)
             for key, ref in states.items():
                 if abs(np.vdot(ref, vec)) > 0.5:
                     tally[key] += 1
@@ -196,26 +191,39 @@ def test_reduced_state_reconstruction():
     for _ in range(15):
         g = random_connected_graph(rng.randint(2, 8), rng)
         size = rng.randint(1, min(5, g.n - 1))
-        a = QubitSet.from_members(g.n, rng.sample(range(g.n), size))
-        b = a.complement()
+        a = rng.sample(range(g.n), size)
+        b = [v for v in range(g.n) if v not in a]
         rho = reduced_density_matrix(build_state(g), b)
         dim = 1 << len(b)
         acc = np.zeros((dim, dim), dtype=np.complex128)
         for value in range(1 << size):
-            vec = outcome_state(g, a, OutcomeBitstring.from_int(a, value)).amplitudes
+            vec = outcome_state(g, a, value)
             acc += np.outer(vec, vec.conj())
         acc /= 1 << size
         assert np.max(np.abs(acc - rho)) <= 1e-10
 
 
 def test_statevector_shape_validation():
-    with pytest.raises(ValueError):
-        StateVector(2, np.ones(3, dtype=np.complex128))
+    # a state is 2^n amplitudes in one axis; anything else names its shape
+    for bad in (np.ones(3, dtype=np.complex128), np.ones(0), np.ones((2, 2))):
+        for call in (lambda: apply_generator(bad, (1, 0, 0)), lambda: stabilizes(bad, []),
+                     lambda: dense_purity(bad, []), lambda: _project_and_drop(bad, 0, 1)):
+            message = f"a state needs 2^n amplitudes in one axis, got shape {bad.shape}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                call()
+
+
+def test_dense_purity_refuses_a_member_beyond_the_state():
+    # used to fail inside numpy with "axes don't match array"
+    with pytest.raises(ValueError, match="vertex 3 out of range for n=3"):
+        dense_purity(build_state(family("linear", 3)), [3, 1])
+    with pytest.raises(ValueError, match="vertex -1 out of range for n=6"):
+        reduced_density_matrix(build_state(NO13), [-1])
 
 
 def test_apply_generator_width_check():
     sv = build_state(from_edges(2, [(0, 1)]))
-    assert np.allclose(apply_generator(sv, (-1, 0b01, 0)).amplitudes, np.array([-1, 1, -1, -1]) / 2)  # -X_1
+    assert np.allclose(apply_generator(sv, (-1, 0b01, 0)), np.array([-1, 1, -1, -1]) / 2)  # -X_1
     with pytest.raises(ValueError, match="beyond the 2 qubits"):
         apply_generator(sv, (1, 0, 0b100))
 
@@ -233,12 +241,12 @@ def per_edge_state(graph):
 @settings(max_examples=150, deadline=None)
 @given(graphs(10))
 def test_build_state_equals_per_edge_reference(graph):
-    assert np.array_equal(build_state(graph).amplitudes, per_edge_state(graph))
+    assert np.array_equal(build_state(graph), per_edge_state(graph))
 
 
 def test_build_state_equals_per_edge_reference_at_the_size_limit():
     graph = family("complete", DENSE_MAX_QUBITS)
-    assert np.array_equal(build_state(graph).amplitudes, per_edge_state(graph))
+    assert np.array_equal(build_state(graph), per_edge_state(graph))
 
 
 @settings(max_examples=60, deadline=None)
@@ -248,7 +256,7 @@ def test_generator_products_match_per_subset_reference(graph, seed):
     # the largest deviation among all 2^n products, so that maximum must match a
     # per-subset loop bit for bit
     rng = np.random.default_rng(seed)
-    state = StateVector(graph.n, rng.normal(size=1 << graph.n) + 1j * rng.normal(size=1 << graph.n))
+    state = rng.normal(size=1 << graph.n) + 1j * rng.normal(size=1 << graph.n)
     gens = graph_generators(graph)
     worst = 0.0
     for subset in range(1 << graph.n):
@@ -256,7 +264,7 @@ def test_generator_products_match_per_subset_reference(graph, seed):
         for a in range(graph.n):
             if (subset >> a) & 1:
                 cur = apply_generator(cur, gens[a])
-        worst = max(worst, np.max(np.abs(cur.amplitudes - state.amplitudes)))
+        worst = max(worst, np.max(np.abs(cur - state)))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("graphce.dense.build_state", lambda g: state)
         assert check_stabilizer(graph, tol=worst)
@@ -297,11 +305,11 @@ def test_check_lemma_catches_a_wrong_base_state(monkeypatch):
     real = build_state
 
     def broken(graph):
-        amps = real(graph).amplitudes.copy()
+        amps = real(graph).copy()
         amps[0], amps[1] = amps[0] * np.sqrt(2.0), 0.0
-        return StateVector(graph.n, amps)
+        return amps
 
-    a = QubitSet.from_members(6, [3, 5])
+    a = [3, 5]
     assert check_lemma(NO13, a)
     monkeypatch.setattr("graphce.dense.build_state", broken)
     assert not check_lemma(NO13, a)
@@ -313,8 +321,8 @@ def projection_matches_outcome_state(graph, a_set):
     state = build_state(graph)
     for a in sorted(a_set, reverse=True):
         state = _project_and_drop(state, a, -1)
-    expected = outcome_state(graph, a_set, OutcomeBitstring.from_int(a_set, (1 << len(a_set)) - 1))
-    return abs(abs(np.vdot(expected.amplitudes, state.amplitudes)) - 1.0) <= MATCH_TOL
+    expected = outcome_state(graph, a_set, (1 << len(a_set)) - 1)
+    return abs(abs(np.vdot(expected, state)) - 1.0) <= MATCH_TOL
 
 
 @settings(max_examples=100, deadline=None)
@@ -322,7 +330,7 @@ def projection_matches_outcome_state(graph, a_set):
     lambda g: st.tuples(st.just(g), st.lists(st.integers(0, g.n - 1), min_size=2, max_size=g.n, unique=True))))
 def test_multi_qubit_support_matches_dense_projection(case):
     graph, members = case
-    assert projection_matches_outcome_state(graph, QubitSet.from_members(graph.n, members))
+    assert projection_matches_outcome_state(graph, members)
 
 
 def test_flipped_support_is_caught_by_the_measurement_rule(monkeypatch):
@@ -331,10 +339,9 @@ def test_flipped_support_is_caught_by_the_measurement_rule(monkeypatch):
     # the lemma.  The dense projections, in check_measurement_rule and member by member
     # over A, do not use the support.
     def flipped(graph, a_set, z):
-        support = unitary_support(graph, a_set, z)
-        return dataclasses.replace(support, bits=support.bits ^ 1)
+        return unitary_support(graph, a_set, z) ^ 1
 
-    a = QubitSet.from_members(6, [3, 5])
+    a = [3, 5]
     monkeypatch.setattr("graphce.dense.unitary_support", flipped)
     assert check_lemma(NO13, a)
     assert not check_measurement_rule(NO13, 5, -1)

@@ -1,13 +1,12 @@
-"""Tests for GF(2) elimination on int bit rows (``graphs._eliminate``) and ``GF2Vector``."""
+"""Tests for GF(2) elimination on int bit rows (``graphs._eliminate``)."""
 
 import random
 
 from graphce.graphs import _eliminate
-from graphce.stabilizer import GF2Vector
 
 
 def row(text):
-    """Bit row from a string with element 0 leftmost, as ``str(GF2Vector)`` prints it."""
+    """Bit row from a string with element 0 leftmost."""
     return int(text[::-1], 2)
 
 
@@ -52,13 +51,3 @@ def test_rank_matches_span_size():
             span |= {s ^ r for s in span}
         assert 1 << len(_eliminate(m)) == len(span)
 
-
-def test_vector_padding_is_canonical():
-    # bits beyond `length` are dropped on construction
-    assert GF2Vector(3, 0b11111).bits == 0b111
-    assert GF2Vector(4, 0b11010) == GF2Vector(4, 0b1010)
-
-
-def test_vector_string_roundtrip():
-    assert str(GF2Vector(5, row("01101"))) == "01101"
-    assert str(GF2Vector(5, 0b10110)) == "01101"

@@ -10,8 +10,8 @@ from graphce.graphs import (
     DuplicateEdgeWarning,
     Graph,
     Graph6Error,
-    QubitSet,
     _eliminate,
+    _mask,
     canonical_form,
     cut_rank,
     family,
@@ -122,7 +122,7 @@ def test_adjacency_row_simple_cases():
 def test_biadjacency_no13():
     # cut rows adj[a] & ~A over A = {qubits 4, 6}: 0011 and 0010 on qubits 1, 2, 3, 5
     g = no13()
-    a = QubitSet.from_members(6, [3, 5]).members
+    a = _mask(6, [3, 5])
     assert [g.adj[v] & ~a for v in (3, 5)] == [0b010100, 0b000100]
     assert cut_rank(g, a) == 2
 
@@ -209,6 +209,16 @@ def test_graph6_malformed():
     assert exc.value.offset == 1
     with pytest.raises(Graph6Error):
         parse_graph6(chr(126))  # long-form length byte unsupported
+
+
+def test_parsers_refuse_non_text_input():
+    # these used to raise AttributeError from inside the parser
+    with pytest.raises(TypeError, match="graph6 input must be str, not int"):
+        parse_graph6(123)
+    with pytest.raises(TypeError, match="edge-list input must be str, not NoneType"):
+        parse_edge_list(None)
+    with pytest.raises(TypeError, match="graph6 input must be str, not bytes"):
+        parse_graph6(b"EhC_")
 
 
 def test_edge_list_roundtrip():

@@ -8,7 +8,7 @@ import pytest
 
 from graphce import survey
 from graphce.cli import _fmt
-from graphce.graphs import QubitSet, family, from_edges, random_connected_graph
+from graphce.graphs import MAX_VERTICES, _members, family, from_edges, random_connected_graph
 from graphce.metrics import (
     DisconnectedGraphWarning,
     ce_bounds,
@@ -86,8 +86,7 @@ def test_purity_complement_symmetry_exhaustive():
     graphs += [random_connected_graph(8, rng) for _ in range(3)]
     for g in graphs:
         for members in range(1 << g.n):
-            b = QubitSet(g.n, members)
-            assert purity(g, b) == purity(g, b.complement())
+            assert purity(g, _members(members)) == purity(g, _members(members ^ ((1 << g.n) - 1)))
 
 
 def test_purity_bounds_for_connected_graphs():
@@ -98,7 +97,7 @@ def test_purity_bounds_for_connected_graphs():
             members = rng.getrandbits(g.n)
             if members in (0, (1 << g.n) - 1):
                 continue
-            b = QubitSet(g.n, members)
+            b = _members(members)
             value = purity(g, b)
             assert Fraction(1, 1 << min(len(b), g.n - len(b))) <= value <= Fraction(1, 2)
 
@@ -137,7 +136,7 @@ def test_ce_linear4_dense_derived():
 
     g = family("linear", 4)
     state = build_state(g)
-    total = sum(dense_purity(state, QubitSet(4, members)) for members in range(16))
+    total = sum(dense_purity(state, _members(members)) for members in range(16))
     oracle_value = 1.0 - total / 16.0
     assert abs(oracle_value - 0.5) < 1e-12
     assert concentratable_entanglement(g, range(4)) == Fraction(1, 2)
@@ -153,7 +152,7 @@ def test_ce_spectrum_shortcut_matches_direct_sum():
 
     for n in range(2, 8):
         for g in enumerate_connected(n, stretch=n >= 7):
-            direct = sum(purity(g, QubitSet(n, members)) for members in range(1 << n))
+            direct = sum(purity(g, _members(members)) for members in range(1 << n))
             expected = 1 - direct / 2**n
             assert concentratable_entanglement(g, range(n)) == expected
 
@@ -234,6 +233,18 @@ def test_ce_within_bounds_for_connected_graphs():
         assert lo <= value <= hi
 
 
+def test_closed_forms_refuse_sizes_beyond_the_vertex_limit():
+    # these used to raise OverflowError at 10**20 and run for minutes at 20000
+    assert ce_bounds(1) == (0, 0)
+    assert snowflake_subset_ce(MAX_VERTICES // 2) < 1
+    for n in (0, MAX_VERTICES + 1, 20000, 10**20):
+        with pytest.raises(ValueError, match=f"need 1 <= n <= {MAX_VERTICES}, got {n}"):
+            ce_bounds(n)
+    for n in (0, MAX_VERTICES // 2 + 1, 10**20):  # the snowflake has 2n vertices, as in `family`
+        with pytest.raises(ValueError, match=f"need 1 <= n <= {MAX_VERTICES // 2}, got {n}"):
+            snowflake_subset_ce(n)
+
+
 def test_snowflake_subset_ce_closed_form():
     assert snowflake_subset_ce(1) == Fraction(1, 4)
     assert snowflake_subset_ce(2) == Fraction(7, 16)
@@ -259,7 +270,7 @@ def test_snowflake2_core_ce_dense_derived():
     total = 0.0
     for members in range(4):
         alpha = [core[i] for i in range(2) if (members >> i) & 1]
-        total += dense_purity(state, QubitSet.from_members(4, alpha))
+        total += dense_purity(state, alpha)
     oracle_value = 1.0 - total / 4.0
     assert abs(oracle_value - 7 / 16) < 1e-12
     assert snowflake_subset_ce(2) == Fraction(7, 16)

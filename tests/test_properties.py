@@ -1,27 +1,32 @@
 """Property tests: cut-rank against the enumeration oracle, the CLI's decimal format and CE sums against Fraction,
 stabilizer weight counts against brute-force enumeration, the bitset graph readers and writers
-against pair-by-pair reference loops, and the edge-list parser against a per-line one."""
+against pair-by-pair reference loops, the edge-list parser against a per-line one, and every
+public vertex-set function against each spelling of the same set."""
 
 import math
 import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+
+from graphce import dense
 
 from graphce.graphs import (
     MAX_VERTICES,
     DuplicateEdgeWarning,
     Graph,
     Graph6Error,
-    QubitSet,
     _eliminate,
+    _members,
     _transpose,
     cut_rank,
     family,
     from_edges,
     graph_to_mask,
+    induced_subgraph,
     is_connected,
     mask_to_graph,
     pair_count,
@@ -32,8 +37,25 @@ from graphce.graphs import (
 )
 from graphce import metrics
 from graphce.cli import _fmt
-from graphce.metrics import _CHUNK_LOG2, _ce, _level_rank_counts, _sweep, _weights, ce_bounds, ce_report
-from graphce.stabilizer import count_distinct_sets
+from graphce.metrics import (
+    _CHUNK_LOG2,
+    _ce,
+    _level_rank_counts,
+    _sweep,
+    _weights,
+    ce_bounds,
+    ce_report,
+    concentratable_entanglement,
+    purity,
+    schmidt_rank,
+)
+from graphce.stabilizer import (
+    count_distinct_sets,
+    count_distinct_sets_fast,
+    support_multiplicities,
+    traced_generator_set,
+    unitary_support,
+)
 from graphce.survey import _middle_rank
 
 MAX_N = 10
@@ -53,7 +75,7 @@ def graph_and_sets(draw, count):
 @given(graph_and_sets(1))
 def test_cut_rank_is_log2_of_enumerated_distinct_sets(case):
     g, a = case
-    assert 1 << cut_rank(g, a) == count_distinct_sets(g, QubitSet(g.n, a))
+    assert 1 << cut_rank(g, a) == count_distinct_sets(g, _members(a))
 
 
 @settings(max_examples=200, deadline=None)
@@ -172,7 +194,7 @@ def test_ce_report_bounds_hold_for_every_subset(case):
     assume(s)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", metrics.DisconnectedGraphWarning)
-        report = ce_report(g, QubitSet(g.n, s))
+        report = ce_report(g, _members(s))
     assert report.bound_min <= _ce(g, s) <= report.bound_max
     k = s.bit_count()
     upper = 1 - sum(Fraction(math.comb(k, j), 1 << min(j, g.n - j)) for j in range(k + 1)) / (1 << k)
@@ -463,3 +485,73 @@ def test_is_connected_matches_a_set_based_bfs(g):
 @given(st.one_of(graphs, sparse_graphs(MAX_N)))
 def test_middle_rank_stops_at_the_level_max(g):
     assert _middle_rank(g) == max(_level_rank_counts(g, g.n // 2))
+
+
+# every public function that takes a vertex set, called with the set s and the outcome z on it
+VERTEX_SET_CALLS = {
+    "purity": lambda g, s, z: purity(g, s),
+    "schmidt_rank": lambda g, s, z: schmidt_rank(g, s),
+    "concentratable_entanglement": lambda g, s, z: concentratable_entanglement(g, s),
+    "ce_report": lambda g, s, z: ce_report(g, s),
+    "count_distinct_sets": lambda g, s, z: count_distinct_sets(g, s),
+    "count_distinct_sets_fast": lambda g, s, z: count_distinct_sets_fast(g, s),
+    "support_multiplicities": lambda g, s, z: support_multiplicities(g, s),
+    "unitary_support": unitary_support,
+    "traced_generator_set": traced_generator_set,
+    "induced_subgraph": lambda g, s, z: induced_subgraph(g, s),
+    "dense_purity": lambda g, s, z: dense.dense_purity(dense.build_state(g), s),
+    "reduced_density_matrix": lambda g, s, z: dense.reduced_density_matrix(dense.build_state(g), s),
+    "outcome_state": dense.outcome_state,
+    "check_lemma": lambda g, s, z: dense.check_lemma(g, s),
+}
+
+
+def call_outcome(call, *args):
+    """The value of the call, an ndarray as its bytes, or the type and message of the ValueError it raised."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", metrics.DisconnectedGraphWarning)
+            value = call(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return value.tobytes() if isinstance(value, np.ndarray) else value
+
+
+@st.composite
+def vertex_set_spellings(draw):
+    """A graph, a member list in any order with repeats (half the time a whole range), and an outcome on its set."""
+    g = draw(st.integers(1, 8).flatmap(
+        lambda n: st.integers(0, (1 << pair_count(n)) - 1).map(lambda mask: mask_to_graph(mask, n))))
+    if draw(st.booleans()):
+        lo = draw(st.integers(0, g.n))
+        hi = draw(st.integers(lo, g.n))
+        members = draw(st.permutations(list(range(lo, hi)) * draw(st.integers(1, 2))))
+    else:
+        members = draw(st.lists(st.integers(0, g.n - 1), max_size=2 * g.n))
+    unique = sorted(set(members))
+    return g, members, draw(st.integers(0, (1 << len(unique)) - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(vertex_set_spellings())
+def test_every_spelling_of_a_vertex_set_gives_the_same_answer(case):
+    g, members, z = case
+    unique = sorted(set(members))
+    spellings = [lambda: members, lambda: tuple(reversed(members)), lambda: set(members), lambda: (v for v in members)]
+    if unique and unique == list(range(unique[0], unique[-1] + 1)):
+        spellings.append(lambda: range(unique[0], unique[-1] + 1))
+    for name, call in VERTEX_SET_CALLS.items():
+        expected = call_outcome(call, g, unique, z)
+        for spell in spellings:
+            assert call_outcome(call, g, spell(), z) == expected, (name, spell())
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs.flatmap(lambda g: st.tuples(
+    st.just(g), st.lists(st.integers(0, g.n - 1), max_size=g.n),
+    st.one_of(st.integers(-(2**70), -1), st.integers(g.n, 2**70)))))
+def test_every_vertex_set_function_refuses_a_member_out_of_range(case):
+    g, members, bad = case
+    for name, call in VERTEX_SET_CALLS.items():
+        with pytest.raises(ValueError, match=f"vertex {bad} out of range for n={g.n}"):
+            call(g, members + [bad] + members, 0)
