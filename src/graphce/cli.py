@@ -3,14 +3,15 @@
 Qubit labels on the command line and in files are 1-indexed.  Rational
 results print as reduced fractions like "21/32"; --decimal switches to the
 exact terminating decimal expansion.  This is the only module that knows an
-output format: csv, json-lines and padded tables all come from `_emit_rows`.
+output format.  Every csv and json-lines row, and the survey's padded table,
+come from `_emit_rows`; plain values and the ce, rank-index, spectrum and
+family tables are written line by line by their commands.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import random
 import sys
 import time
@@ -22,7 +23,6 @@ from .graphs import (
     FAMILY_KINDS,
     Graph,
     _members,
-    cut_rank,
     family,
     parse_edge_list,
     parse_graph6,
@@ -30,6 +30,8 @@ from .graphs import (
     write_graph6,
 )
 from .metrics import (
+    _cut_count,
+    _visit_log2,
     ce_report,
     concentratable_entanglement,
     purity,
@@ -177,11 +179,9 @@ def _emit_rows(fields: Sequence[str], rows: list[dict[str, object]], fmt: str, o
 
 def _cmd_ce(args: argparse.Namespace, out) -> int:
     graph = _load_graph(args)
-    subset = _parse_labels(args.subset, graph.n) if args.subset is not None else None
-    # the kernel visits 2^(|s| - cut_rank(s)) elements, all 2^n for the full set
-    visit_log2 = subset.bit_count() - cut_rank(graph, subset) if subset else graph.n
-    _check_budget(args, visit_log2, CE_BUDGET_LOG2, _VISIT)
-    members = _members(subset) if subset else range(graph.n)
+    s = _parse_labels(args.subset, graph.n) if args.subset is not None else (1 << graph.n) - 1
+    _check_budget(args, _visit_log2(graph, s), CE_BUDGET_LOG2, _VISIT)
+    members = _members(s)
     if args.format == "plain":  # the other formats carry graph6, which caps n at 62
         out.write(_fmt(concentratable_entanglement(graph, members), args.decimal) + "\n")
         return 0
@@ -221,8 +221,7 @@ def _cmd_rank_index(args: argparse.Namespace, out) -> int:
     half = graph.n // 2
     if args.m is not None and not 1 <= args.m <= half:
         raise UsageError(f"--m must be in 1..{half} for this graph")
-    _check_budget(args, graph.n - 1 if args.m is None else (math.comb(graph.n, args.m) - 1).bit_length(),
-                  CUT_BUDGET_LOG2, _RANK)
+    _check_budget(args, (_cut_count(graph.n, args.m) - 1).bit_length(), CUT_BUDGET_LOG2, _RANK)
     ms = [args.m] if args.m is not None else list(range(1, half + 1))
     if args.format == "csv":
         rows = []
@@ -239,7 +238,7 @@ def _cmd_rank_index(args: argparse.Namespace, out) -> int:
 
 def _cmd_spectrum(args: argparse.Namespace, out) -> int:
     graph = _load_graph(args)
-    _check_budget(args, graph.n - 1, CUT_BUDGET_LOG2, _RANK)
+    _check_budget(args, (_cut_count(graph.n) - 1).bit_length(), CUT_BUDGET_LOG2, _RANK)
     spectrum = purity_spectrum(graph)
     if args.format == "csv":
         rows = []
@@ -275,10 +274,10 @@ def _cmd_family(args: argparse.Namespace, out) -> int:
         raise UsageError("--from/--to must satisfy 1 <= from <= to")
     largest = 2 * args.end if args.kind == "snowflake" else args.end
     member = f" for {args.kind}({args.end})"
+    # no graph yet: the largest member's vertex count is its full-set _visit_log2
     _check_budget(args, largest, CE_BUDGET_LOG2, _VISIT + member)
-    # each record also ranks the middle-level cuts, each unordered bipartition once
-    middle = math.comb(largest, largest // 2) // (2 if largest % 2 == 0 else 1)
-    _check_budget(args, (middle - 1).bit_length(), CUT_BUDGET_LOG2, _RANK + member)
+    # each record also ranks its middle level
+    _check_budget(args, (_cut_count(largest, largest // 2) - 1).bit_length(), CUT_BUDGET_LOG2, _RANK + member)
     records = survey.family_sweep(args.kind, range(args.start, args.end + 1))
     if args.format != "table":
         _emit_rows(FAMILY_FIELDS, [_record_row(rec, FAMILY_FIELDS, args.decimal) for rec in records], args.format, out)

@@ -9,6 +9,7 @@ Readers add the upper half by one bit-matrix transpose; `Graph` checks symmetry 
 
 from __future__ import annotations
 
+import operator
 import random
 import sys
 import warnings
@@ -38,7 +39,7 @@ class Graph6Error(ValueError):
 def _mask(n: int, members: Iterable[int]) -> int:
     """The bitmask of `members`, 0-indexed vertices of an n-vertex graph, in any order and with repeats."""
     mask = 0
-    for v in members:
+    for v in map(operator.index, members):
         if not 0 <= v < n:
             raise ValueError(f"vertex {v} out of range for n={n}")
         mask |= 1 << v
@@ -112,10 +113,10 @@ def _transpose(rows: Sequence[int], n: int) -> tuple[int, ...]:
 
 def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph from 0-indexed endpoint pairs; duplicate edges collapse with a warning."""
-    if n > MAX_VERTICES:  # before the rows are allocated
+    if (n := operator.index(n)) > MAX_VERTICES:  # before the rows are allocated
         raise ValueError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
     adj = [0] * n
-    for u, v in edges:
+    for u, v in (map(operator.index, edge) for edge in edges):
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge endpoint ({u}, {v}) out of range for n={n}")
         if u == v:
@@ -137,7 +138,7 @@ def family(kind: str, n: int) -> Graph:
     snowflake(n) has 2n vertices: a complete core 0..n-1 plus pendant
     vertex i+n attached to core vertex i.
     """
-    if n < 1:
+    if (n := operator.index(n)) < 1:
         raise ValueError(f"family size must be >= 1, got {n}")
     if (2 * n if kind == "snowflake" else n) > MAX_VERTICES:
         raise ValueError(f"{kind}({n}) exceeds the limit of {MAX_VERTICES} vertices")
@@ -179,7 +180,7 @@ def cut_rank(graph: Graph, a: int) -> int:
     under complementing A, so the smaller side supplies the rows.
     """
     n = graph.n
-    if a >> n:
+    if (a := operator.index(a)) >> n:
         raise ValueError(f"vertex mask {a:#x} out of range for n={n}")
     if 2 * a.bit_count() > n:
         a ^= (1 << n) - 1

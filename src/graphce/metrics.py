@@ -81,6 +81,11 @@ def _level_cuts(n: int, m: int) -> Iterator[int]:
         yield a
 
 
+def _cut_count(n: int, m: int | None = None) -> int:
+    """How many cuts `_level_cuts(n, m)` yields or, for m None, `_sweep` ranks: all 2^(n-1) - 1 bipartitions."""
+    return ((1 << n) - 1) // 2 if m is None else math.comb(n, m) // (2 if 2 * m == n else 1)
+
+
 def _level_rank_counts(graph: Graph, m: int) -> dict[int, int]:
     counts: dict[int, int] = {}
     for a in _level_cuts(graph.n, m):
@@ -192,6 +197,11 @@ def _flip(cols: dict[int, int], mask: int, pattern: int) -> None:
         mask ^= low
 
 
+def _visit_log2(graph: Graph, s: int) -> int:
+    """log2 of the stabilizer elements `_weights(graph, s)` visits: |s| - cut_rank(s), n for the full set."""
+    return s.bit_count() - cut_rank(graph, s)
+
+
 def _weights(graph: Graph, s: int) -> list[int]:
     """N_w: the number of stabilizer elements of weight w supported inside the vertex mask s.
 
@@ -282,7 +292,10 @@ def _bounds(n: int, k: int, inside: int) -> tuple[Fraction, Fraction]:
     has purity at most 1/2, which gives the minimum 1/2 - 2^(inside - k - 1).  A connected
     graph has inside = 1 at s = V (`ce_bounds`) and inside = 0 on a proper s.
     """
-    acc = sum(math.comb(k, j) << (n - min(j, n - j)) for j in range(k + 1))
+    acc, c = 0, 1  # c = C(k, j), one multiply and divide per j
+    for j in range(k + 1):
+        acc += c << (n - min(j, n - j))
+        c = c * (k - j) // (j + 1)
     return Fraction((1 << k) - (1 << inside), 1 << (k + 1)), Fraction((1 << (n + k)) - acc, 1 << (n + k))
 
 
@@ -321,11 +334,12 @@ class CEReport:
 def ce_report(graph: Graph, s: Iterable[int] | None = None) -> CEReport:
     """Evaluate CE and bound attainment."""
     s_mask = (1 << graph.n) - 1 if s is None else _mask(graph.n, s)
+    graph6 = write_graph6(graph)  # refuses n > 62 before the kernel runs
     ce = _ce(graph, s_mask)
     connected = _check_connected(graph)
     lo, hi = _subset_bounds(graph, s_mask)
     return CEReport(
-        graph6=write_graph6(graph),
+        graph6=graph6,
         n=graph.n,
         subset=tuple(_members(s_mask)),
         ce=ce,

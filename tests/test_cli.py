@@ -106,6 +106,16 @@ def test_rank_index_output(no13_path):
     assert "RI_3 = (4,4,2)" in text
 
 
+def test_rank_index_csv(no13_path):
+    code, text = invoke(["rank-index", "--edges", no13_path, "--format", "csv"])
+    assert (code, text) == (0, "m,schmidt_rank,count\n1,1,6\n2,2,12\n2,1,3\n3,3,4\n3,2,4\n3,1,2\n")
+
+
+def test_purity_cut_sides_overlap(no13_path, capsys):
+    assert invoke(["purity", "--edges", no13_path, "--cut", "1,2|2,3,4,5,6"]) == (2, "")
+    assert capsys.readouterr().err == "error: cut sides overlap\n"
+
+
 def test_spectrum_table(no13_path):
     code, text = invoke(["spectrum", "--edges", no13_path])
     assert code == 0
@@ -387,6 +397,23 @@ def test_rank_index_work_budget_refuses_large_sweeps():
         assert (done.returncode, done.stdout) == (2, "")
         assert f"rank-index would rank 2^{log2} cuts, over the budget of 2^22" in done.stderr
         assert "--no-budget" in done.stderr
+
+
+def test_rank_index_budget_charges_the_halved_middle_level(monkeypatch, no13_path):
+    # m = n/2 ranks each unordered bipartition once: C(26, 13) / 2 = 5,200,300 cuts, and C(6, 3) / 2 = 10
+    done = run_module(["rank-index", "--family", "star", "--size", "26", "--m", "13"])
+    assert (done.returncode, done.stdout) == (2, "")
+    assert "rank-index would rank 2^23 cuts, over the budget of 2^22" in done.stderr
+    monkeypatch.setattr("graphce.cli.CUT_BUDGET_LOG2", 4)
+    assert invoke(["rank-index", "--edges", no13_path, "--m", "3"]) == (0, "RI_3 = (4,4,2)\n")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "table", "json-lines"])
+def test_ce_report_refuses_graph6_before_the_kernel_runs(fmt):
+    # in a child process: the full set of ring 63 would visit 2^63 elements before the graph6 check
+    done = run_module(["ce", "--family", "ring", "--size", "63", "--format", fmt, "--no-budget"])
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == "error: graph6 short form supports n <= 62, got 63\n"
 
 
 def test_family_work_budget_refuses_large_members():

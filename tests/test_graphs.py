@@ -65,6 +65,30 @@ def test_from_edges_rejects_bad_input():
         from_edges(3, [(1, 1)])
 
 
+def test_int_arguments_take_numpy_integers_and_refuse_floats():
+    # numpy integers used to raise AttributeError on `bit_length`
+    import numpy as np
+
+    from graphce.metrics import ce_report, purity
+    from graphce.stabilizer import count_distinct_sets
+
+    g = no13()
+    assert purity(g, np.array([0, 1, 4])) == purity(g, [0, 1, 4])
+    assert ce_report(g, np.array([0, 2])) == ce_report(g, [0, 2])
+    assert count_distinct_sets(g, np.array([0])) == count_distinct_sets(g, [0]) == 2
+    rank = cut_rank(g, np.int64(3))
+    assert (type(rank), rank) == (int, cut_rank(g, 3))
+    ring = family("ring", np.int64(5))
+    assert ring == family("ring", 5) and type(ring.n) is int
+    edge = from_edges(np.int64(3), [(np.int64(0), np.int64(1))])
+    assert edge == from_edges(3, [(0, 1)]) and type(edge.n) is int
+    for call in (lambda: purity(g, [0, 1.0]), lambda: ce_report(g, [2.0]), lambda: count_distinct_sets(g, [0.0]),
+                 lambda: cut_rank(g, 3.0), lambda: family("ring", 5.0), lambda: from_edges(3.0, []),
+                 lambda: from_edges(3, [(0, 1.0)])):
+        with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+            call()
+
+
 def test_from_edges_warns_on_duplicates():
     with pytest.warns(DuplicateEdgeWarning):
         g = from_edges(3, [(0, 1), (1, 0)])

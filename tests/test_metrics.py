@@ -209,6 +209,38 @@ def test_purity_spectrum_counts_match_binomials():
             assert sum(spectrum.counts_at(m).values()) == expected
 
 
+@pytest.mark.filterwarnings("ignore::graphce.metrics.DisconnectedGraphWarning")
+def test_work_estimates_equal_the_work(monkeypatch):
+    from graphce import metrics
+    from graphce.graphs import cut_rank
+
+    ranked = []
+
+    def counted(graph, a):
+        ranked.append(a)
+        return cut_rank(graph, a)
+
+    monkeypatch.setattr(metrics, "cut_rank", counted)
+    monkeypatch.setattr(survey, "cut_rank", counted)
+
+    def cuts(call, *args):
+        ranked.clear()
+        call(*args)
+        return len(ranked)
+
+    rng = random.Random(31)
+    for _ in range(60):
+        n = rng.randint(1, 10)
+        g = from_edges(n, [e for e in combinations(range(n), 2) if rng.random() < 0.4])
+        assert cuts(purity_spectrum, g) == metrics._cut_count(n)
+        for m in range(1, n // 2 + 1):
+            assert cuts(rank_index, g, m) == metrics._cut_count(n, m)
+        assert cuts(survey._middle_rank, g) <= metrics._cut_count(n, n // 2)  # it stops at rank n // 2
+        for s in [(1 << n) - 1] + [rng.randrange(1, 1 << n) for _ in range(4)]:
+            assert sum(metrics._weights(g, s)) == 2 ** metrics._visit_log2(g, s)
+    assert metrics._visit_log2(NO13, (1 << 6) - 1) == 6
+
+
 def test_purity_spectrum_k2():
     spectrum = purity_spectrum(from_edges(2, [(0, 1)]))
     assert spectrum.purity_tally(1) == [(Fraction(1, 2), 1)]
@@ -222,6 +254,17 @@ def test_ce_bounds_small_n():
     assert ce_bounds(3) == (Fraction(3, 8), Fraction(3, 8))
     assert ce_bounds(4)[1] == Fraction(17, 32)
     assert ce_bounds(5)[1] == Fraction(5, 8)
+
+
+def test_bounds_running_binomial_matches_math_comb():
+    from math import comb
+
+    from graphce.metrics import _bounds
+
+    for n in (1, 2, 7, 62, 333, 1000):
+        for k in sorted({1, n // 2 or 1, n - 1 or 1, n}):
+            acc = sum(comb(k, j) << (n - min(j, n - j)) for j in range(k + 1))
+            assert _bounds(n, k, 0)[1] == Fraction((1 << (n + k)) - acc, 1 << (n + k))
 
 
 def test_ce_within_bounds_for_connected_graphs():
