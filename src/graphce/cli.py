@@ -15,6 +15,7 @@ import json
 import random
 import sys
 import time
+import warnings
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -438,4 +439,5 @@ def run(argv: Sequence[str] | None = None, out=None) -> int:
 
 
 def main() -> None:
+    warnings.formatwarning = lambda message, *_: f"warning: {message}\n"  # no source path or line
     sys.exit(run(sys.argv[1:]))

@@ -59,6 +59,7 @@ class Graph:
     adj: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n", operator.index(self.n))
         if self.n < 0:
             raise ValueError(f"negative vertex count {self.n}")
         if self.n > MAX_VERTICES:
@@ -113,7 +114,9 @@ def _transpose(rows: Sequence[int], n: int) -> tuple[int, ...]:
 
 def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph from 0-indexed endpoint pairs; duplicate edges collapse with a warning."""
-    if (n := operator.index(n)) > MAX_VERTICES:  # before the rows are allocated
+    if (n := operator.index(n)) < 0:  # these two before the rows are allocated
+        raise ValueError(f"negative vertex count {n}")
+    if n > MAX_VERTICES:
         raise ValueError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
     adj = [0] * n
     for u, v in (map(operator.index, edge) for edge in edges):
@@ -459,7 +462,7 @@ def canonical_form(graph: Graph) -> bytes:
 
 def random_connected_graph(n: int, rng: random.Random) -> Graph:
     """Uniformly-seeded random connected graph: random spanning tree plus coin-flip extras."""
-    if n < 1:
+    if (n := operator.index(n)) < 1:
         raise ValueError(f"need n >= 1, got {n}")
     adj = [0] * n
     for v in range(1, n):

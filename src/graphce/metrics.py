@@ -14,35 +14,18 @@ time, and a bit-sliced counter tallies their weights.
 from __future__ import annotations
 
 import math
-import warnings
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Iterator
 
-from .graphs import MAX_VERTICES, Graph, _eliminate, _mask, _members, _reach, cut_rank, is_connected, write_graph6
-
-
-class DisconnectedGraphWarning(UserWarning):
-    """Metric evaluated on a disconnected graph; closed forms may not apply."""
-
-
-def _check_connected(graph: Graph) -> bool:
-    connected = is_connected(graph)
-    if not connected:
-        warnings.warn(
-            "graph is disconnected; purities and CE are still exact but closed forms assume connectivity",
-            DisconnectedGraphWarning,
-            stacklevel=3,
-        )
-    return connected
+from .graphs import MAX_VERTICES, Graph, _eliminate, _mask, _members, _reach, cut_rank, write_graph6
 
 
 def purity(graph: Graph, b: Iterable[int]) -> Fraction:
     """Tr rho_B^2 = 2^-r, with r the cut-rank of (B, complement)."""
-    b_mask = _mask(graph.n, b)
-    _check_connected(graph)
-    return Fraction(1, 1 << cut_rank(graph, b_mask))
+    return Fraction(1, 1 << cut_rank(graph, _mask(graph.n, b)))
 
 
 def schmidt_rank(graph: Graph, b: Iterable[int]) -> int:
@@ -82,7 +65,7 @@ def _level_cuts(n: int, m: int) -> Iterator[int]:
 
 
 def _cut_count(n: int, m: int | None = None) -> int:
-    """How many cuts `_level_cuts(n, m)` yields or, for m None, `_sweep` ranks: all 2^(n-1) - 1 bipartitions."""
+    """How many cuts `_level_cuts(n, m)` yields or, for m None, `purity_spectrum` ranks: all 2^(n-1) - 1 bipartitions."""
     return ((1 << n) - 1) // 2 if m is None else math.comb(n, m) // (2 if 2 * m == n else 1)
 
 
@@ -94,17 +77,12 @@ def _level_rank_counts(graph: Graph, m: int) -> dict[int, int]:
     return counts
 
 
-def _sweep(graph: Graph) -> PuritySpectrum:
+def purity_spectrum(graph: Graph) -> PuritySpectrum:
+    """Tally reduced-state purities for all bipartitions with smaller side m <= n/2."""
     levels = [((0, 1),)]
     for m in range(1, graph.n // 2 + 1):
         levels.append(tuple(sorted(_level_rank_counts(graph, m).items())))
     return PuritySpectrum(graph.n, tuple(levels))
-
-
-def purity_spectrum(graph: Graph) -> PuritySpectrum:
-    """Tally reduced-state purities for all bipartitions with smaller side m <= n/2."""
-    _check_connected(graph)
-    return _sweep(graph)
 
 
 @dataclass(frozen=True)
@@ -124,9 +102,8 @@ def rank_index(graph: Graph, m: int) -> RankIndex:
     Rank-0 occurrences (possible only for disconnected graphs) are excluded,
     so for connected graphs the counts sum to the number of size-m cuts.
     """
-    if not 1 <= m <= graph.n // 2:
+    if not 1 <= (m := operator.index(m)) <= graph.n // 2:
         raise ValueError(f"m must satisfy 1 <= m <= n/2 = {graph.n // 2}, got {m}")
-    _check_connected(graph)
     counts = _level_rank_counts(graph, m)
     return RankIndex(m, tuple(counts.get(r, 0) for r in range(m, 0, -1)))
 
@@ -266,9 +243,7 @@ def _ce(graph: Graph, s: int) -> Fraction:
 
 def concentratable_entanglement(graph: Graph, s: Iterable[int]) -> Fraction:
     """1 - 2^-|s| times the sum of reduced purities over every subset of s."""
-    ce = _ce(graph, _mask(graph.n, s))
-    _check_connected(graph)
-    return ce
+    return _ce(graph, _mask(graph.n, s))
 
 
 def ce_bounds(n: int) -> tuple[Fraction, Fraction]:
@@ -277,7 +252,7 @@ def ce_bounds(n: int) -> tuple[Fraction, Fraction]:
     The minimum holds every reduced purity at 1/2; the maximum holds every
     bipartition purity at 2^-min(|A|,|B|).
     """
-    if not 1 <= n <= MAX_VERTICES:
+    if not 1 <= (n := operator.index(n)) <= MAX_VERTICES:
         raise ValueError(f"need 1 <= n <= {MAX_VERTICES}, got {n}")
     return _bounds(n, n, 1)
 
@@ -299,19 +274,21 @@ def _bounds(n: int, k: int, inside: int) -> tuple[Fraction, Fraction]:
     return Fraction((1 << k) - (1 << inside), 1 << (k + 1)), Fraction((1 << (n + k)) - acc, 1 << (n + k))
 
 
-def _subset_bounds(graph: Graph, s: int) -> tuple[Fraction, Fraction]:
-    """`_bounds` for the vertex mask s of `graph`, connected or not."""
-    inside, rest = 0, (1 << graph.n) - 1
+def _subset_bounds(graph: Graph, s: int) -> tuple[Fraction, Fraction, bool]:
+    """`_bounds` for the vertex mask s of `graph`, connected or not, and whether `graph` is connected."""
+    components = inside = 0
+    rest = (1 << graph.n) - 1
     while rest:
         component = _reach(graph.adj, rest & -rest)
         rest &= ~component
+        components += 1
         inside += component & ~s == 0
-    return _bounds(graph.n, s.bit_count(), inside)
+    return *_bounds(graph.n, s.bit_count(), inside), components == 1
 
 
 def snowflake_subset_ce(n: int) -> Fraction:
     """Closed form 1 - (3/4)^n for pair-free n-qubit subsets of a 2n-qubit snowflake."""
-    if not 1 <= n <= MAX_VERTICES // 2:  # the snowflake has 2n vertices
+    if not 1 <= (n := operator.index(n)) <= MAX_VERTICES // 2:  # the snowflake has 2n vertices
         raise ValueError(f"need 1 <= n <= {MAX_VERTICES // 2}, got {n}")
     return Fraction((1 << (2 * n)) - 3**n, 1 << (2 * n))
 
@@ -336,8 +313,7 @@ def ce_report(graph: Graph, s: Iterable[int] | None = None) -> CEReport:
     s_mask = (1 << graph.n) - 1 if s is None else _mask(graph.n, s)
     graph6 = write_graph6(graph)  # refuses n > 62 before the kernel runs
     ce = _ce(graph, s_mask)
-    connected = _check_connected(graph)
-    lo, hi = _subset_bounds(graph, s_mask)
+    lo, hi, connected = _subset_bounds(graph, s_mask)
     return CEReport(
         graph6=graph6,
         n=graph.n,

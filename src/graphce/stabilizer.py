@@ -17,6 +17,7 @@ on B = complement(A) is an int, bit i for the i-th member of B.
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable
 
 from .graphs import Graph, _mask, _members, cut_rank
@@ -36,9 +37,9 @@ def measure_z(tableau: dict[int, tuple[int, int, int]], a: int, outcome: int) ->
     multiplied by it, which clears that factor and, for outcome -1, flips the
     sign.  Generators keep their qubit keys and order.
     """
-    if outcome not in (1, -1):
+    if (outcome := operator.index(outcome)) not in (1, -1):
         raise ValueError(f"outcome must be +1 or -1, got {outcome}")
-    if a not in tableau:
+    if (a := operator.index(a)) not in tableau:
         raise ValueError(f"qubit {a} not present in tableau")
     a_bit = 1 << a
     if not tableau[a][1] & a_bit:
@@ -63,7 +64,7 @@ def unitary_support(graph: Graph, a_set: Iterable[int], z: int) -> int:
     neighbours of that vertex.
     """
     a = _mask(graph.n, a_set)
-    if z < 0 or z >> a.bit_count():
+    if (z := operator.index(z)) < 0 or z >> a.bit_count():
         raise ValueError(f"outcome {z} does not fit the |A| = {a.bit_count()} measured qubits")
     # walk A and then B by lowest set bit: outcome bit i goes to the i-th member of A
     z_mask, rest, value = 0, a, z
@@ -91,18 +92,6 @@ def traced_generator_set(graph: Graph, a_set: Iterable[int], z: int) -> dict[int
     return {v: (-1 if support >> i & 1 else 1, 1 << v, graph.adj[v] & b) for i, v in enumerate(_members(b))}
 
 
-def _support_columns(graph: Graph, a: int) -> list[int]:
-    """For each member of the vertex mask A (ascending), its neighbour pattern over B as an int."""
-    b_members = _members(((1 << graph.n) - 1) ^ a)
-    cols = []
-    for v in _members(a):
-        bits = 0
-        for i, b in enumerate(b_members):
-            bits |= ((graph.adj[v] >> b) & 1) << i
-        cols.append(bits)
-    return cols
-
-
 def count_distinct_sets(graph: Graph, a_set: Iterable[int]) -> int:
     """Number of distinct generator sets over all 2^|A| outcomes, by enumeration.
 
@@ -119,7 +108,9 @@ def support_multiplicities(graph: Graph, a_set: Iterable[int]) -> dict[int, int]
     k = a.bit_count()
     if k > ENUMERATION_MAX_QUBITS:
         raise ValueError(f"|A| = {k} exceeds enumeration threshold {ENUMERATION_MAX_QUBITS}; use count_distinct_sets_fast")
-    cols = _support_columns(graph, a)
+    # z -> U(z) is linear, so flipping outcome bit i XORs in the support of the unit outcome 1 << i
+    members = _members(a)
+    cols = [unitary_support(graph, members, 1 << i) for i in range(k)]
     counts: dict[int, int] = {0: 1}
     cur = 0
     for g in range(1, 1 << k):

@@ -23,19 +23,12 @@ Surveys and family sweeps return `SurveyRecord` values; `cli` writes them out.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .graphs import (
-    Graph,
-    _least_code,
-    _reach,
-    cut_rank,
-    family,
-    graph_to_mask,
-    write_graph6,
-)
+from .graphs import Graph, _least_code, _reach, cut_rank, family, write_graph6
 from .metrics import _ce, _level_cuts, ce_bounds
 
 ENUMERATION_MAX_VERTICES = 8
@@ -83,17 +76,18 @@ def enumerate_connected(n: int, *, stretch: bool = False) -> list[Graph]:
     """One least-code representative per isomorphism class of connected graphs, by edge mask.
 
     Every graph on k - 1 vertices, connected or not, is extended by one vertex;
-    a star's least code, for one, puts the centre last.  n <= 6 runs
+    a star's least code, for one, puts the centre last.  The codes have fixed
+    widths, so their column lists sort as the edge masks do.  n <= 6 runs
     unconditionally; n = 7, 8 require stretch=True.
     """
-    if not 1 <= n <= ENUMERATION_MAX_VERTICES:
+    if not 1 <= (n := operator.index(n)) <= ENUMERATION_MAX_VERTICES:
         raise ValueError(f"enumeration supports 1 <= n <= {ENUMERATION_MAX_VERTICES}, got {n}")
     if n >= STRETCH_MIN_VERTICES and not stretch:
         raise ValueError(f"n = {n} enumeration needs stretch=True (it is deliberately flag-gated)")
     level = [((0,), [0])]  # rows and columns of the one graph on one vertex
     for k in range(2, n + 1):
         level = [child for rows, cols in level for child in _children(rows, cols, k == n)]
-    return sorted((Graph(n, rows) for rows, _ in level), key=graph_to_mask)
+    return [Graph(n, rows) for rows, _ in sorted(level, key=lambda child: child[1])]
 
 
 def _middle_rank(graph: Graph) -> int:
@@ -129,7 +123,7 @@ def _record(graph: Graph, bounds: tuple[Fraction, Fraction], *, kind: str | None
 
 def ce_survey(n: int, *, stretch: bool = False) -> list[SurveyRecord]:
     """One record per connected isomorphism class, sorted by (CE, graph6)."""
-    graphs = enumerate_connected(n, stretch=stretch)  # checks n before the bounds take it
+    graphs = enumerate_connected(n := operator.index(n), stretch=stretch)  # checks n before the bounds take it
     bounds, scale = ce_bounds(n), 1 << (2 * n)  # every CE here is an integer over 4^n
     records = [_record(g, bounds) for g in graphs]
     records.sort(key=lambda r: (r.ce.numerator * (scale // r.ce.denominator), r.graph6))
@@ -147,14 +141,15 @@ def max_achievers(n: int, *, stretch: bool = False) -> list[Graph]:
     Each purity is at least that, and CE = 1 - 2^-n sum_A Tr rho_A^2, so these
     are the classes whose full-set CE meets the upper bound of `ce_bounds`.
     """
-    full, hi = (1 << n) - 1, ce_bounds(n)[1]
-    return [graph for graph in enumerate_connected(n, stretch=stretch) if _ce(graph, full) == hi]
+    graphs = enumerate_connected(n, stretch=stretch)  # checks n before the bounds take it
+    hi = ce_bounds(n)[1]
+    return [graph for graph in graphs if _ce(graph, (1 << graph.n) - 1) == hi]
 
 
 def family_sweep(kind: str, sizes: Iterable[int]) -> list[SurveyRecord]:
     """CE(full set) per family member; snowflake records also carry the core-subset CE."""
     records = []
-    for size in sizes:
+    for size in map(operator.index, sizes):
         graph = family(kind, size)
         records.append(_record(graph, ce_bounds(graph.n), kind=kind, size=size))
     return records

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphce.cli import run
-from graphce.graphs import FAMILY_KINDS, family, parse_edge_list, parse_graph6
+from graphce.graphs import FAMILY_KINDS, DuplicateEdgeWarning, family, parse_edge_list, parse_graph6
 from graphce.metrics import concentratable_entanglement, purity
 
 NO13_EDGE_FILE = "6\n1 2\n2 3\n3 4\n4 5\n3 6\n"
@@ -279,6 +279,11 @@ def test_rank_index_needs_two_qubits(graph6, capsys):
     assert f"rank-index needs at least 2 qubits, got {ord(graph6) - 63}" in capsys.readouterr().err
 
 
+def test_spectrum_of_the_empty_graph():
+    # exited 2 when every metric asked whether the graph was connected
+    assert invoke(["spectrum", "--graph6", "?"]) == (0, "m=0: 1 x1\n")
+
+
 @pytest.mark.parametrize("command", ["ce", "spectrum"])
 def test_work_budget_refuses_large_sweeps(command, capsys):
     code, text = invoke([command, "--family", "star", "--size", "40"])
@@ -383,6 +388,18 @@ def run_python(args, memory_mb=None):
 def run_module(argv, memory_mb=None):
     """`python -m graphce ARGV` in a child process, killed after 60 s."""
     return run_python(["-m", "graphce", *argv], memory_mb)
+
+
+def test_console_warnings_are_one_line_and_run_leaves_them_alone(tmp_path):
+    path = tmp_path / "dup.txt"
+    path.write_text("3\n1 2\n2 1\n")
+    done = run_module(["ce", "--edges", str(path)])
+    # no install path or source line, and no word on the isolated vertex
+    assert (done.returncode, done.stdout, done.stderr) == (0, "1/4\n", "warning: duplicate edge (0, 1) collapsed\n")
+    formatwarning = warnings.formatwarning
+    with pytest.warns(DuplicateEdgeWarning):
+        assert invoke(["ce", "--edges", str(path)]) == (0, "1/4\n")
+    assert warnings.formatwarning is formatwarning
 
 
 def test_python_dash_m_runs_the_cli():

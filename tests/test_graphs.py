@@ -89,6 +89,36 @@ def test_int_arguments_take_numpy_integers_and_refuse_floats():
             call()
 
 
+def test_sizes_qubits_outcomes_and_m_take_numpy_integers_and_refuse_floats():
+    # numpy sizes used to raise AttributeError on `bit_length`; numpy outcomes and qubits past
+    # vertex 63 raised OverflowError, as 1 << np.int64(70) is 0
+    import numpy as np
+
+    from graphce.metrics import rank_index
+    from graphce.stabilizer import graph_generators, measure_z, traced_generator_set, unitary_support
+    from graphce.survey import ce_survey, enumerate_connected, max_achievers
+
+    graph = Graph(np.int64(3), (6, 5, 3))
+    assert graph == Graph(3, (6, 5, 3)) and type(graph.n) is int
+    assert enumerate_connected(np.int64(5)) == enumerate_connected(5)
+    assert ce_survey(np.int64(4)) == ce_survey(4)
+    assert max_achievers(np.int64(4)) == max_achievers(4)
+    assert random_connected_graph(np.int64(5), random.Random(3)) == random_connected_graph(5, random.Random(3))
+    ring = family("ring", 80)
+    assert unitary_support(ring, [70], np.int64(1)) == unitary_support(ring, [70], 1) == (1 << 69) | (1 << 70)
+    assert traced_generator_set(ring, [70], np.int64(1)) == traced_generator_set(ring, [70], 1)
+    tableau = graph_generators(ring)
+    assert measure_z(tableau, np.int64(70), np.int64(-1)) == measure_z(tableau, 70, -1)
+    assert repr(rank_index(no13(), np.int64(2))) == repr(rank_index(no13(), 2))
+    for call in (lambda: Graph(3.0, (6, 5, 3)), lambda: enumerate_connected(5.0), lambda: ce_survey(4.0),
+                 lambda: max_achievers(4.0), lambda: random_connected_graph(5.0, random.Random(3)),
+                 lambda: unitary_support(ring, [70], 1.0), lambda: traced_generator_set(ring, [70], 1.0),
+                 lambda: measure_z(tableau, 70.0, -1), lambda: measure_z(tableau, 70, -1.0),
+                 lambda: rank_index(no13(), 2.0)):
+        with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+            call()
+
+
 def test_from_edges_warns_on_duplicates():
     with pytest.warns(DuplicateEdgeWarning):
         g = from_edges(3, [(0, 1), (1, 0)])

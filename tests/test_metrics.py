@@ -1,6 +1,7 @@
 """Tests for exact values, purities, CE, rank indices and bounds."""
 
 import random
+import warnings
 from fractions import Fraction
 from itertools import combinations
 
@@ -8,9 +9,8 @@ import pytest
 
 from graphce import survey
 from graphce.cli import _fmt
-from graphce.graphs import MAX_VERTICES, _members, family, from_edges, random_connected_graph
+from graphce.graphs import MAX_VERTICES, Graph, _members, family, from_edges, random_connected_graph
 from graphce.metrics import (
-    DisconnectedGraphWarning,
     ce_bounds,
     ce_report,
     concentratable_entanglement,
@@ -157,12 +157,20 @@ def test_ce_spectrum_shortcut_matches_direct_sum():
             assert concentratable_entanglement(g, range(n)) == expected
 
 
-def test_ce_disconnected_graph_warns_but_computes():
-    g = from_edges(4, [(0, 1), (2, 3)])
-    with pytest.warns(DisconnectedGraphWarning):
-        value = concentratable_entanglement(g, range(4))
-    # two independent Bell pairs: CE = 1 - (6/4)^2 / 4
-    assert value == Fraction(7, 16)
+def test_metrics_on_a_disconnected_graph_are_exact_and_warn_of_nothing():
+    g = from_edges(4, [(0, 1), (2, 3)])  # two independent Bell pairs
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert (purity(g, [0]), purity(g, [0, 1]), purity(g, [0, 2])) == (Fraction(1, 2), 1, Fraction(1, 4))
+        assert (schmidt_rank(g, [0, 1]), schmidt_rank(g, [1, 3])) == (0, 2)
+        # CE = 1 - (6/4)^2 / 4
+        assert concentratable_entanglement(g, range(4)) == Fraction(7, 16)
+        report = ce_report(g)
+        assert (report.ce, report.bound_min, report.bound_max) == (Fraction(7, 16), Fraction(3, 8), Fraction(17, 32))
+        assert not report.connected
+        assert purity_spectrum(g).levels == (((0, 1),), ((1, 4),), ((0, 1), (2, 2)))
+        assert rank_index(g, 2).counts == (2, 0)
+        assert purity_spectrum(Graph(0, ())).levels == (((0, 1),),)
 
 
 # --- rank index / spectrum ----------------------------------------------------
@@ -209,7 +217,6 @@ def test_purity_spectrum_counts_match_binomials():
             assert sum(spectrum.counts_at(m).values()) == expected
 
 
-@pytest.mark.filterwarnings("ignore::graphce.metrics.DisconnectedGraphWarning")
 def test_work_estimates_equal_the_work(monkeypatch):
     from graphce import metrics
     from graphce.graphs import cut_rank
@@ -355,12 +362,10 @@ def test_ce_report_subset():
 def test_ce_report_bounds_on_a_disconnected_graph():
     # an edge and an isolated vertex: A = {2} and A = {0, 1} are cuts of rank 0
     g = from_edges(3, [(0, 1)])
-    with pytest.warns(DisconnectedGraphWarning):
-        full = ce_report(g)
+    full = ce_report(g)
     assert full.ce == Fraction(1, 4)
     # two components inside s: 1/2 - 2^(2 - 3 - 1); the connected ce_bounds(3) minimum 3/8 fails here
     assert (full.bound_min, full.bound_max) == (Fraction(1, 4), Fraction(3, 8))
     assert full.achieves_min
-    with pytest.warns(DisconnectedGraphWarning):
-        isolated = ce_report(g, [2])
+    isolated = ce_report(g, [2])
     assert (isolated.ce, isolated.bound_min, isolated.bound_max) == (0, 0, Fraction(1, 4))

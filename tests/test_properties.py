@@ -1,7 +1,8 @@
 """Property tests: cut-rank against the enumeration oracle, the CLI's decimal format and CE sums against Fraction,
 stabilizer weight counts against brute-force enumeration, the bitset graph readers and writers
-against pair-by-pair reference loops, the edge-list parser against a per-line one, and every
-public vertex-set function against each spelling of the same set."""
+against pair-by-pair reference loops, the edge-list parser against a per-line one, every
+public vertex-set function against each spelling of the same set, and every public int argument
+against its bool and numpy spellings."""
 
 import math
 import warnings
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from graphce import dense
 
 from graphce.graphs import (
+    FAMILY_KINDS,
     MAX_VERTICES,
     DuplicateEdgeWarning,
     Graph,
@@ -41,22 +43,26 @@ from graphce.metrics import (
     _CHUNK_LOG2,
     _ce,
     _level_rank_counts,
-    _sweep,
     _weights,
     ce_bounds,
     ce_report,
     concentratable_entanglement,
     purity,
+    purity_spectrum,
+    rank_index,
     schmidt_rank,
+    snowflake_subset_ce,
 )
 from graphce.stabilizer import (
     count_distinct_sets,
     count_distinct_sets_fast,
+    graph_generators,
+    measure_z,
     support_multiplicities,
     traced_generator_set,
     unitary_support,
 )
-from graphce.survey import _middle_rank
+from graphce.survey import _middle_rank, ce_survey, enumerate_connected, family_sweep, max_achievers
 
 MAX_N = 10
 
@@ -132,7 +138,7 @@ def test_sweep_levels_match_weight_counts(g):
     # |S_A| = 2^(m - r(A)) summed over |A| = m counts each element of weight w <= m in C(n - w, m - w) sets
     n = g.n
     weights = _weights(g, (1 << n) - 1)
-    for m, level in enumerate(_sweep(g).levels):
+    for m, level in enumerate(purity_spectrum(g).levels):
         tally = sum(c << (m - r) for r, c in level) * (2 if 2 * m == n else 1)
         assert tally == sum(c * math.comb(n - w, m - w) for w, c in enumerate(weights[:m + 1]))
 
@@ -183,7 +189,7 @@ def test_brute_force_comparison_catches_a_shifted_lane_pattern(monkeypatch):
 def test_proper_cut_ranks_are_one_to_the_middle_level_max(g):
     # survey records print max(level n // 2) as the number of distinct purities
     assume(is_connected(g))
-    ranks = {r for level in _sweep(g).levels[1:] for r, _ in level}
+    ranks = {r for level in purity_spectrum(g).levels[1:] for r, _ in level}
     assert ranks == set(range(1, max(_level_rank_counts(g, g.n // 2)) + 1))
 
 
@@ -192,10 +198,9 @@ def test_proper_cut_ranks_are_one_to_the_middle_level_max(g):
 def test_ce_report_bounds_hold_for_every_subset(case):
     g, s = case
     assume(s)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", metrics.DisconnectedGraphWarning)
-        report = ce_report(g, _members(s))
+    report = ce_report(g, _members(s))
     assert report.bound_min <= _ce(g, s) <= report.bound_max
+    assert report.connected == is_connected(g)  # read off the bounds' component walk
     k = s.bit_count()
     upper = 1 - sum(Fraction(math.comb(k, j), 1 << min(j, g.n - j)) for j in range(k + 1)) / (1 << k)
     assert report.bound_max == upper
@@ -509,9 +514,7 @@ VERTEX_SET_CALLS = {
 def call_outcome(call, *args):
     """The value of the call, an ndarray as its bytes, or the type and message of the ValueError it raised."""
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", metrics.DisconnectedGraphWarning)
-            value = call(*args)
+        value = call(*args)
     except ValueError as exc:
         return type(exc), str(exc)
     return value.tobytes() if isinstance(value, np.ndarray) else value
@@ -555,3 +558,68 @@ def test_every_vertex_set_function_refuses_a_member_out_of_range(case):
     for name, call in VERTEX_SET_CALLS.items():
         with pytest.raises(ValueError, match=f"vertex {bad} out of range for n={g.n}"):
             call(g, members + [bad] + members, 0)
+
+
+# past every numpy width, and past MAX_VERTICES, so that no call starts work on one
+INT_EXTREMES = (-(2**70), -(2**63) - 1, -(2**63), -(2**31), -32769, -129, 2**15, 2**16 - 1, 2**31 - 1, 2**32,
+                2**63 - 1, 2**63, 2**64 - 1, 2**64, 2**70)
+INT_DTYPES = (np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64)
+
+
+def around(lo, hi):
+    """Ints from a little below lo to a little above hi, or one of the extremes."""
+    return st.one_of(st.integers(lo - 3, hi + 3), st.sampled_from(INT_EXTREMES))
+
+
+# every int argument of the public API, as (call of a graph g of up to 70 vertices, a graph `small`
+# and the int x; the x to draw for g), so that members and masks pass bit 63 and the work stays small
+INT_ARGUMENT_CALLS = {
+    "Graph n": (lambda g, small, x: Graph(x, g.adj), lambda g: around(0, g.n)),
+    "family n": (lambda g, small, x: [call_outcome(family, kind, x) for kind in FAMILY_KINDS], lambda g: around(0, 80)),
+    "from_edges n": (lambda g, small, x: from_edges(x, [(0, 1)]), lambda g: around(0, 80)),
+    "from_edges endpoint": (lambda g, small, x: from_edges(g.n, [(x, g.n - 1)]), lambda g: around(0, g.n)),
+    "cut_rank mask": (lambda g, small, x: cut_rank(g, x), lambda g: st.one_of(around(0, 0), st.integers(0, 1 << g.n))),
+    "purity member": (lambda g, small, x: purity(g, [x]), lambda g: around(0, g.n)),
+    "schmidt_rank member": (lambda g, small, x: schmidt_rank(g, [x]), lambda g: around(0, g.n)),
+    "concentratable_entanglement member": (lambda g, small, x: concentratable_entanglement(g, [0, x]),
+                                           lambda g: around(0, g.n)),
+    "ce_report member": (lambda g, small, x: ce_report(g, [x]), lambda g: around(0, g.n)),
+    "count_distinct_sets member": (lambda g, small, x: count_distinct_sets(g, [x]), lambda g: around(0, g.n)),
+    "count_distinct_sets_fast member": (lambda g, small, x: count_distinct_sets_fast(g, [x]), lambda g: around(0, g.n)),
+    "ce_bounds n": (lambda g, small, x: ce_bounds(x), lambda g: around(0, 80)),
+    "snowflake_subset_ce n": (lambda g, small, x: snowflake_subset_ce(x), lambda g: around(0, 80)),
+    "rank_index m": (lambda g, small, x: rank_index(small, x), lambda g: around(0, 5)),
+    "measure_z qubit": (lambda g, small, x: measure_z(graph_generators(g), x, -1), lambda g: around(0, g.n)),
+    "measure_z outcome": (lambda g, small, x: measure_z(graph_generators(g), g.n - 1, x), lambda g: around(-1, 1)),
+    "unitary_support z": (lambda g, small, x: unitary_support(g, [0, g.n - 1], x), lambda g: around(0, 3)),
+    "unitary_support member": (lambda g, small, x: unitary_support(g, [x], 1), lambda g: around(0, g.n)),
+    "traced_generator_set z": (lambda g, small, x: traced_generator_set(g, [0, g.n - 1], x), lambda g: around(0, 3)),
+    "traced_generator_set member": (lambda g, small, x: traced_generator_set(g, [x], 1), lambda g: around(0, g.n)),
+    "enumerate_connected n": (lambda g, small, x: enumerate_connected(x), lambda g: around(1, 4)),
+    "ce_survey n": (lambda g, small, x: ce_survey(x), lambda g: around(1, 4)),
+    "max_achievers n": (lambda g, small, x: max_achievers(x), lambda g: around(1, 4)),
+    "family_sweep size": (lambda g, small, x: family_sweep("snowflake", [x]), lambda g: around(1, 5)),
+}
+
+
+def int_call_outcome(call, *args):
+    """The value of the call and its repr, which shows a numpy int that leaked into it, or its ValueError."""
+    try:
+        value = call(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return value, repr(value)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(sparse_graphs(70), st.integers(64, 70).map(lambda n: family("ring", n))), graphs, st.data())
+def test_int_arguments_take_bools_and_numpy_ints_and_refuse_floats(g, small, data):
+    for name, (call, values) in INT_ARGUMENT_CALLS.items():
+        x = data.draw(values(g), label=name)
+        expected = int_call_outcome(call, g, small, x)
+        spellings = [dtype(x) for dtype in INT_DTYPES if np.iinfo(dtype).min <= x <= np.iinfo(dtype).max]
+        for spelled in spellings + ([bool(x)] if x in (0, 1) else []):
+            assert int_call_outcome(call, g, small, spelled) == expected, (name, repr(spelled))
+        for spelled in (float(x), np.float64(x)):
+            with pytest.raises(TypeError):
+                call(g, small, spelled)
