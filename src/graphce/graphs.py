@@ -1,10 +1,9 @@
 """Simple undirected graphs on labelled vertices, stored as packed adjacency bit rows.
 
-Vertices are 0-indexed internally; the CLI and file formats use 1-indexed
-qubit labels.  The upper-triangle edge-bit order used by graph6, edge masks
-and canonical forms is column-major: (0,1), (0,2), (1,2), (0,3), ...  Column j
-starts at offset j(j-1)/2 and, reversed, is lower row j: ``adj[j] & (2^j - 1)``.
-Readers add the upper half by one bit-matrix transpose; `Graph` checks symmetry by it.
+Vertices are 0-indexed internally; the CLI and file formats use 1-indexed qubit labels.
+The upper-triangle edge-bit order used by graph6 and canonical forms is column-major:
+(0,1), (0,2), (1,2), (0,3), ...  Column j starts at offset j(j-1)/2 and, reversed, is lower
+row j: ``adj[j] & (2^j - 1)``.  Readers add the upper half by one bit-matrix transpose; `Graph` checks symmetry by it.
 """
 
 from __future__ import annotations
@@ -60,6 +59,7 @@ class Graph:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n", operator.index(self.n))
+        object.__setattr__(self, "adj", tuple(map(operator.index, self.adj)))
         if self.n < 0:
             raise ValueError(f"negative vertex count {self.n}")
         if self.n > MAX_VERTICES:
@@ -226,29 +226,11 @@ def induced_subgraph(graph: Graph, keep: Iterable[int]) -> Graph:
     return Graph(len(members), tuple(cols[v] for v in members))
 
 
-# --- upper-triangle edge masks ------------------------------------------------
-#
-# Pair p (column-major index) sits at mask bit P-1-p, so that the integer
-# order of masks coincides with the lexicographic order of the bit sequence.
+# --- graph6 -------------------------------------------------------------------
 
 
 def pair_count(n: int) -> int:
     return n * (n - 1) // 2
-
-
-def graph_to_mask(graph: Graph) -> int:
-    packed = sum((row & ((1 << j) - 1)) << (j * (j - 1) // 2) for j, row in enumerate(graph.adj))
-    return int(format(packed, f"0{pair_count(graph.n)}b")[::-1], 2)
-
-
-def mask_to_graph(mask: int, n: int) -> Graph:
-    total = pair_count(n)
-    packed = int(format(mask & ((1 << total) - 1), f"0{total}b")[::-1], 2)
-    lower = [(packed >> (j * (j - 1) // 2)) & ((1 << j) - 1) for j in range(n)]
-    return Graph(n, tuple(lo | up for lo, up in zip(lower, _transpose(lower, n))))
-
-
-# --- graph6 -------------------------------------------------------------------
 
 
 def _check_text(text: str, form: str) -> None:
@@ -262,8 +244,8 @@ def write_graph6(graph: Graph) -> str:
     if n > GRAPH6_MAX_VERTICES:
         raise ValueError(f"graph6 short form supports n <= {GRAPH6_MAX_VERTICES}, got {n}")
     total = pair_count(n)
-    # body bits in pair order, padded with zeros to a 6-bit boundary
-    bits = format(graph_to_mask(graph), f"0{total}b") + "00000"
+    packed = sum((row & ((1 << j) - 1)) << (j * (j - 1) // 2) for j, row in enumerate(graph.adj))  # pair p at bit p
+    bits = format(packed, f"0{total}b")[::-1] + "00000"  # in pair order, padded with zeros to a 6-bit boundary
     return chr(63 + n) + "".join(chr(63 + int(bits[i:i + 6], 2)) for i in range(0, total, 6))
 
 
@@ -288,7 +270,9 @@ def parse_graph6(text: str) -> Graph:
     bits = s[1:].translate(_GRAPH6_BITS)
     if "1" in bits[total:]:
         raise Graph6Error("trailing padding bits nonzero", len(s) - 1)
-    return mask_to_graph(int(bits[:total] or "0", 2), n)
+    packed = int(bits[:total][::-1] or "0", 2)  # pair p at bit p: lower row j at bit j(j-1)/2
+    lower = [(packed >> (j * (j - 1) // 2)) & ((1 << j) - 1) for j in range(n)]
+    return Graph(n, tuple(lo | up for lo, up in zip(lower, _transpose(lower, n))))
 
 
 # --- edge-list text format ------------------------------------------------------
@@ -308,13 +292,13 @@ class _Labels(dict):
 
 
 def parse_edge_list(text: str) -> Graph:
-    """Parse the edge-list format; errors name the 1-indexed input line.
+    """Parse the edge-list format; errors and duplicate-edge warnings name the 1-indexed input line.
 
-    One OR per pair builds the rows and checks the pair on the way; only a rejected
-    input is walked again, line by line, by `_edge_list_error`, to name its first bad line."""
+    One OR per pair builds the rows and checks the pair on the way, and `Graph` refuses a self-loop.
+    An input rejected there, or with fewer row bits than twice its pairs (a duplicate), goes to `_parse_lines`."""
     _check_text(text, "edge-list")
     lines = [line for line in map(str.strip, text.splitlines()) if line and line[0] != "#"]
-    try:  # no count line, a count out of range, a line that is not one pair, or a bad label
+    try:  # no count line, a count out of range, a line that is not one pair, a bad label or a self-loop
         count, *pairs = lines
         if not 0 <= (n := int(count)) <= MAX_VERTICES:
             raise ValueError(count)
@@ -322,50 +306,50 @@ def parse_edge_list(text: str) -> Graph:
         adj = [0] * n
         for a, b in map(str.split, pairs):  # one line's tokens at a time
             adj[labels[a]] |= 1 << labels[b]
+        graph = Graph(n, tuple(row | col for row, col in zip(adj, _transpose(adj, n))))
+        if sum(map(int.bit_count, graph.adj)) == 2 * len(pairs):
+            return graph
     except ValueError:
-        raise _edge_list_error(text) from None
-    if any(row >> v & 1 for v, row in enumerate(adj)):
-        raise _edge_list_error(text)
-    adj = [row | col for row, col in zip(adj, _transpose(adj, n))]
-    if sum(map(int.bit_count, adj)) != 2 * len(pairs):
-        seen = set()
-        for a, b in map(str.split, pairs):
-            u, v = labels[a], labels[b]
-            edge = (min(u, v), max(u, v))
-            if edge in seen:
-                warnings.warn(f"duplicate edge {edge} collapsed", DuplicateEdgeWarning, stacklevel=2)
-            seen.add(edge)
-    return Graph(n, tuple(adj))
+        pass
+    return _parse_lines(text)
 
 
-def _edge_list_error(text: str) -> ValueError:
-    """The error for the first bad line of an edge list that `parse_edge_list` rejected."""
-    lines = [(i, ln.strip()) for i, ln in enumerate(text.splitlines(), 1)]
-    lines = [(i, ln) for i, ln in lines if ln and not ln.startswith("#")]
+def _parse_lines(text: str) -> Graph:
+    """The edge list parsed line by line: raise at the first bad line, or once every line has
+    parsed, warn of each duplicate edge in order, at `parse_edge_list`'s caller."""
+    lines = [(i, ln) for i, ln in enumerate(map(str.strip, text.splitlines()), 1) if ln and ln[0] != "#"]
     if not lines:
-        return ValueError("empty edge-list input")
+        raise ValueError("empty edge-list input")
     first, count = lines[0]
     try:
         n = int(count)
     except ValueError:
-        return ValueError(f"line {first}: first line must be the vertex count, got {count!r}")
+        raise ValueError(f"line {first}: first line must be the vertex count, got {count!r}") from None
     if n < 0:
-        return ValueError(f"line {first}: vertex count must be non-negative, got {count!r}")
+        raise ValueError(f"line {first}: vertex count must be non-negative, got {count!r}")
     if n > MAX_VERTICES:
-        return ValueError(f"line {first}: vertex count {n} exceeds the limit of {MAX_VERTICES}")
+        raise ValueError(f"line {first}: vertex count {n} exceeds the limit of {MAX_VERTICES}")
+    adj = [0] * n
+    duplicates = []
     for i, ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 2:
-            return ValueError(f"line {i}: expected 'u v' pair, got {ln!r}")
+            raise ValueError(f"line {i}: expected 'u v' pair, got {ln!r}")
         try:
             u, v = int(parts[0]) - 1, int(parts[1]) - 1
         except ValueError:
-            return ValueError(f"line {i}: vertex labels must be integers, got {ln!r}")
+            raise ValueError(f"line {i}: vertex labels must be integers, got {ln!r}") from None
         if not (0 <= u < n and 0 <= v < n):
-            return ValueError(f"line {i}: vertex label out of range 1..{n}, got {ln!r}")
+            raise ValueError(f"line {i}: vertex label out of range 1..{n}, got {ln!r}")
         if u == v:
-            return ValueError(f"line {i}: self-loop, got {ln!r}")
-    raise AssertionError("the per-line pass found no bad line in a rejected edge list")
+            raise ValueError(f"line {i}: self-loop, got {ln!r}")
+        if (adj[u] >> v) & 1:
+            duplicates.append(f"line {i}: duplicate edge collapsed, got {ln!r}")
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    for message in duplicates:
+        warnings.warn(message, DuplicateEdgeWarning, stacklevel=3)
+    return Graph(n, tuple(adj))
 
 
 def write_edge_list(graph: Graph) -> str:

@@ -395,7 +395,7 @@ def test_console_warnings_are_one_line_and_run_leaves_them_alone(tmp_path):
     path.write_text("3\n1 2\n2 1\n")
     done = run_module(["ce", "--edges", str(path)])
     # no install path or source line, and no word on the isolated vertex
-    assert (done.returncode, done.stdout, done.stderr) == (0, "1/4\n", "warning: duplicate edge (0, 1) collapsed\n")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "1/4\n", "warning: line 3: duplicate edge collapsed, got '2 1'\n")
     formatwarning = warnings.formatwarning
     with pytest.warns(DuplicateEdgeWarning):
         assert invoke(["ce", "--edges", str(path)]) == (0, "1/4\n")

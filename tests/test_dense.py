@@ -22,7 +22,7 @@ from graphce.dense import (
     reduced_density_matrix,
     stabilizes,
 )
-from graphce.graphs import _members, family, from_edges, mask_to_graph, pair_count, random_connected_graph
+from graphce.graphs import _members, family, from_edges, pair_count, random_connected_graph
 from graphce.metrics import purity
 from graphce.stabilizer import (
     graph_generators,
@@ -30,13 +30,14 @@ from graphce.stabilizer import (
     support_multiplicities,
     unitary_support,
 )
+from test_properties import reference_graph
 
 NO13 = from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5)])
 
 
 def graphs(max_n):
     return st.integers(1, max_n).flatmap(
-        lambda n: st.integers(0, (1 << pair_count(n)) - 1).map(lambda mask: mask_to_graph(mask, n))
+        lambda n: st.integers(0, (1 << pair_count(n)) - 1).map(lambda mask: reference_graph(mask, n))
     )
 
 

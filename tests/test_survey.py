@@ -14,9 +14,7 @@ from graphce.graphs import (
     canonical_form,
     family,
     from_edges,
-    graph_to_mask,
     is_connected,
-    mask_to_graph,
     pair_count,
     random_connected_graph,
     write_graph6,
@@ -35,6 +33,7 @@ from graphce.survey import (
     family_sweep,
     max_achievers,
 )
+from test_properties import reference_graph, reference_mask
 
 # one representative per class of connected graphs on 1..8 vertices (OEIS-style counts)
 CLASS_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
@@ -50,10 +49,10 @@ def brute_force_classes(n):
     """Independent oracle: all labelled masks, connectivity filter, full-permutation dedup."""
     keys = set()
     for mask in range(1 << pair_count(n)):
-        g = mask_to_graph(mask, n)
+        g = reference_graph(mask, n)
         if not is_connected(g):
             continue
-        orbit_min = min(graph_to_mask(permute(g, order)) for order in permutations(range(n)))
+        orbit_min = min(reference_mask(permute(g, order)) for order in permutations(range(n)))
         keys.add(orbit_min)
     return keys
 
@@ -63,7 +62,7 @@ def test_enumerate_counts_against_brute_force():
         reps = enumerate_connected(n)
         assert len(reps) == CLASS_COUNTS[n]
         if n >= 2:
-            assert {graph_to_mask(g) for g in reps} == brute_force_classes(n)
+            assert {reference_mask(g) for g in reps} == brute_force_classes(n)
 
 
 def test_enumerate_n6_count():
@@ -98,7 +97,7 @@ def test_enumerate_representatives_are_canonical():
     for n in range(2, 7):
         for g in enumerate_connected(n):
             total = pair_count(n)
-            key = bytes([n]) + graph_to_mask(g).to_bytes((total + 7) // 8, "big")
+            key = bytes([n]) + reference_mask(g).to_bytes((total + 7) // 8, "big")
             assert canonical_form(g) == key
 
 
@@ -126,8 +125,8 @@ def test_least_code_search_against_every_vertex_order():
             g = from_edges(n, [(u, v) for v in range(n) for u in range(v) if rng.random() < density])
             least = min(order_mask(g.adj, order) for order in permutations(range(n)))
             assert canonical_form(g) == bytes([n]) + least.to_bytes((pair_count(n) + 7) // 8, "big")
-            assert _least_code(g.adj, own_columns(g.adj), True) == (graph_to_mask(g) != least)
-            h = mask_to_graph(least, n)
+            assert _least_code(g.adj, own_columns(g.adj), True) == (reference_mask(g) != least)
+            h = reference_graph(least, n)
             assert not _least_code(h.adj, own_columns(h.adj), True)
 
 
