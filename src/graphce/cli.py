@@ -31,10 +31,10 @@ from .graphs import (
     write_graph6,
 )
 from .metrics import (
+    _ce,
     _cut_count,
     _visit_log2,
     ce_report,
-    concentratable_entanglement,
     purity,
     purity_spectrum,
     rank_index,
@@ -182,11 +182,10 @@ def _cmd_ce(args: argparse.Namespace, out) -> int:
     graph = _load_graph(args)
     s = _parse_labels(args.subset, graph.n) if args.subset is not None else (1 << graph.n) - 1
     _check_budget(args, _visit_log2(graph, s), CE_BUDGET_LOG2, _VISIT)
-    members = _members(s)
     if args.format == "plain":  # the other formats carry graph6, which caps n at 62
-        out.write(_fmt(concentratable_entanglement(graph, members), args.decimal) + "\n")
+        out.write(_fmt(_ce(graph, s), args.decimal) + "\n")
         return 0
-    report = ce_report(graph, members)
+    report = ce_report(graph, _members(s))
     row = {
         "graph6": report.graph6,
         "n": report.n,
@@ -410,25 +409,35 @@ COMMANDS: dict[str, tuple[str, Callable[[argparse.ArgumentParser], None], Callab
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The whole parser or, for a name in COMMANDS, only that subparser: all seven cost more than a small ce."""
-    parser = argparse.ArgumentParser(
-        prog="graphce",
-        description="Exact reduced-state purities and Concentratable Entanglement of graph states.",
-    )
+def _help_formatter() -> Callable[..., argparse.HelpFormatter]:
+    """HelpFormatter at its default width, columns - 2, with the terminal asked once rather than once per argument."""
+    import functools  # argparse imports both: functools as it loads, shutil for its first formatter
+    import shutil
+    return functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The seven-command tree: the CLI's top-level usage and help, and every argv one command's parser cannot take."""
+    description = "Exact reduced-state purities and Concentratable Entanglement of graph states."
+    parser = argparse.ArgumentParser(prog="graphce", description=description, formatter_class=_help_formatter())
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, add_arguments, _) in COMMANDS.items():
-        if command not in COMMANDS or command == name:
-            add_arguments(sub.add_parser(name, help=help_text))
-    if command in COMMANDS:  # the usage line still lists every command; the full tree needs no metavar
-        sub.metavar = "{" + ",".join(COMMANDS) + "}"
+        add_arguments(sub.add_parser(name, help=help_text, formatter_class=parser.formatter_class))
     return parser
 
 
 def run(argv: Sequence[str] | None = None, out=None) -> int:
+    """Run one command line (default: sys.argv[1:]) and return its exit code; no parser is cached."""
     out = out if out is not None else sys.stdout
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser(argv[0] if argv else None).parse_args(argv)
+        args, rest = None, ()
+        if argv and argv[0] in COMMANDS:  # the tree's subparser, built alone, prints the same usage and errors
+            parser = argparse.ArgumentParser(prog=f"graphce {argv[0]}", formatter_class=_help_formatter())
+            COMMANDS[argv[0]][1](parser)
+            args, rest = parser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if args is None or rest:  # no command, or arguments left over: the top-level usage line and messages
+            args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:

@@ -585,42 +585,73 @@ PARSER_ARGVS = {
 TOP_LEVEL_ARGVS = [[], ["-h"], ["frobnicate"], ["--", "ce"]]
 
 
-def run_captured(argv, capsys):
-    import re
+# Prefixes, "=" values, "--", a misplaced -h, a near-miss command name and an unknown option
+EDGE_ARGVS = [["ce", "--h"], ["ce", "--gra", "EhC_"], ["ce", "--graph6=EhC_"], ["ce", "--", "--graph6"], ["-h", "ce"],
+              ["ce", "-h", "extra"], ["cE"], ["c"], ["ce", "--graph6", "EhC_", "--bogus"]]
+ALL_ARGVS = ([[command, *args] for command, argvs in PARSER_ARGVS.items() for args in argvs]
+             + TOP_LEVEL_ARGVS + EDGE_ARGVS)
 
-    code = run(argv)
-    captured = capsys.readouterr()
-    return code, re.sub(r" \(\d+\.\d+s\)", "", captured.out), captured.err
 
+def full_tree_run(argv, out):
+    """run(argv)'s exit code if it parsed with build_parser().parse_args(argv) and argparse's own formatter."""
+    import argparse
+    import sys
 
-@pytest.mark.parametrize("argv", [[command, *args] for command, argvs in PARSER_ARGVS.items() for args in argvs]
-                         + TOP_LEVEL_ARGVS, ids=" ".join)
-def test_one_subparser_parses_like_the_full_tree(argv, monkeypatch, capsys):
     from graphce import cli
 
-    got = run_captured(argv, capsys)
-    full_tree = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda command=None: full_tree())
-    assert got == run_captured(argv, capsys)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_help_formatter", lambda: argparse.HelpFormatter)
+        try:
+            args = cli.build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return exc.code
+    try:
+        return cli.COMMANDS[args.command][2](args, out)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return cli.USAGE_ERROR
+
+
+def without_times(text):
+    import re
+
+    return re.sub(r" \(\d+\.\d+s\)", "", text)
+
+
+@pytest.mark.parametrize("argv", ALL_ARGVS, ids=" ".join)
+def test_one_subparser_parses_like_the_full_tree(argv, monkeypatch, capsys):
+    import sys
+
+    for columns in ("30", "80", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        code = run(argv)
+        captured = capsys.readouterr()
+        got = code, without_times(captured.out), captured.err
+        code = full_tree_run(argv, sys.stdout)
+        captured = capsys.readouterr()
+        assert got == (code, without_times(captured.out), captured.err), columns
 
 
 def test_run_builds_only_the_named_subparser(monkeypatch):
     import argparse
+    import shutil
 
     from graphce import cli
 
     def choices(parser):
         return [*next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices]
 
-    assert choices(cli.build_parser("ce")) == ["ce"]
-    assert choices(cli.build_parser()) == choices(cli.build_parser("frobnicate")) == list(cli.COMMANDS)
+    assert choices(cli.build_parser()) == list(cli.COMMANDS)
     assert len(cli.COMMANDS) == 7
-    built = []
-    build = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda command=None: built.append(command) or build(command))
+    built, asked = [], []
+    build, size = cli.build_parser, shutil.get_terminal_size
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    monkeypatch.setattr(shutil, "get_terminal_size", lambda *a: asked.append(1) or size(*a))
     assert invoke(["ce", "--graph6", "EhC_"]) == (0, "21/32\n")
+    assert (len(built), len(asked)) == (0, 1)
+    invoke(["ce", "--graph6", "EhC_", "extra"])  # the leftover goes to the full tree, which asks once more
     invoke(["--", "ce"])
-    assert built == ["ce", "--"]
+    assert (len(built), len(asked)) == (2, 4)
 
 
 # A small argv grammar: every command, every graph source, and label, cut and integer
@@ -735,10 +766,15 @@ def test_cli_fuzz_exits_0_or_2_and_prints_the_library_value(fuzz_dir, argv):
     argv = [str(fuzz_dir / a) if flag == "--edges" else a for flag, a in zip(["", *argv], argv)]
     plain = argv[0] == "purity" or (argv[0] == "ce" and fuzz_options(argv).get("--format", "plain") == "plain")
     out, err = io.StringIO(), io.StringIO()
+    tree_out, tree_err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(), redirect_stderr(err):
         warnings.simplefilter("ignore")
         code = run(argv, out=out)
         expected = fuzz_library_value(argv) if code == 0 and plain else None
+        with redirect_stderr(tree_err):
+            tree_code = full_tree_run(argv, tree_out)
+    assert (code, without_times(out.getvalue()), err.getvalue()) == (
+        tree_code, without_times(tree_out.getvalue()), tree_err.getvalue())
     assert "Traceback" not in err.getvalue()
     assert code == 0 or (code == 2 and err.getvalue().startswith(("error:", "usage:"))), (code, err.getvalue())
     if expected is not None:
