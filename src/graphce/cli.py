@@ -291,7 +291,12 @@ def _cmd_family(args: argparse.Namespace, out) -> int:
 
 
 def _verify_suite(seed: int, trials: int, out) -> bool:
-    from . import dense  # numpy loads only for the dense oracle
+    try:
+        from . import dense  # numpy loads only for the dense oracle
+    except ModuleNotFoundError as exc:
+        if exc.name != "numpy":
+            raise
+        raise UsageError("verify needs numpy") from None
 
     rng = random.Random(seed)
     out.write(f"verify seed: {seed}\n")

@@ -12,7 +12,9 @@ matrix product with the bit table; ``_apply`` gathers a whole batch of
 generators at once, so each check applies all of its generators in one call.
 ``check_stabilizer`` builds all 2^n generator products by doubling for
 n <= 6, and ``check_lemma`` forms every outcome state as a sign matrix times
-one base state and compares the whole Gram matrix at once.
+one base state and compares the whole Gram matrix at once.  ``dense_purity``
+never forms rho_B: it squares the Gram matrix of the shorter side of the cut,
+at most 2^floor(n/2) square.
 """
 
 from __future__ import annotations
@@ -114,21 +116,34 @@ def check_stabilizer(graph: Graph, tol: float = STATE_TOL) -> bool:
     return bool(np.max(np.abs(products - state)) <= tol)
 
 
-def reduced_density_matrix(state: np.ndarray, b: Iterable[int]) -> np.ndarray:
-    """rho_B after tracing out the complement, ordered by ascending B members."""
+def _cut_matrix(state: np.ndarray, b: Iterable[int]) -> np.ndarray:
+    """The amplitudes as a 2^|B| x 2^(n-|B|) matrix M, rows and columns by ascending members of B and of A."""
     n = _qubit_count(state)
     b_mask = _mask(n, b)
     b_list = _members(b_mask)
     a_list = _members(((1 << n) - 1) ^ b_mask)
     tensor = state.reshape((2,) * n) if n else state.reshape(())
-    mat = np.transpose(tensor, axes=b_list + a_list).reshape(1 << len(b_list), 1 << len(a_list))
+    return np.transpose(tensor, axes=b_list + a_list).reshape(1 << len(b_list), 1 << len(a_list))
+
+
+def reduced_density_matrix(state: np.ndarray, b: Iterable[int]) -> np.ndarray:
+    """rho_B = M M^dagger after tracing out the complement, ordered by ascending B members."""
+    mat = _cut_matrix(state, b)
     return mat @ mat.conj().T
 
 
 def dense_purity(state: np.ndarray, b: Iterable[int]) -> float:
-    """Tr(rho_B^2) from the explicitly assembled reduced density matrix."""
-    rho = reduced_density_matrix(state, b)
-    return float(np.sum(np.abs(rho) ** 2))
+    """Tr(rho_B^2) from the Gram matrix of the shorter side of the cut.
+
+    Tr((M M^dagger)^2) = Tr((M^dagger M)^2) by cyclicity of the trace, for any
+    complex M, so the Gram matrix is formed on whichever side has fewer rows:
+    at most 2^floor(n/2) square rather than rho_B itself.
+    """
+    mat = _cut_matrix(state, b)
+    if mat.shape[0] > mat.shape[1]:
+        mat = mat.T
+    gram = mat @ mat.conj().T
+    return float(np.vdot(gram, gram).real)
 
 
 def _project_and_drop(state: np.ndarray, a: int, outcome: int) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 import io
 import json
+import sys
 import warnings
 from contextlib import redirect_stderr
 from fractions import Fraction
@@ -255,6 +256,29 @@ def test_verify_rejects_nonpositive_trials(trials, capsys):
     assert code == 2
     assert text == ""
     assert f"--trials must be at least 1, got {trials}" in capsys.readouterr().err
+
+
+def hide_dense(monkeypatch):
+    """Make verify's `from . import dense` import the module afresh: an earlier import leaves it on the package."""
+    import graphce
+
+    monkeypatch.delattr(graphce, "dense", raising=False)
+    monkeypatch.delitem(sys.modules, "graphce.dense", raising=False)
+
+
+def test_verify_without_numpy_is_a_one_line_usage_error(monkeypatch, capsys):
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    hide_dense(monkeypatch)
+    assert invoke(["verify", "--seed", "7", "--trials", "1"]) == (2, "")
+    assert capsys.readouterr().err == "error: verify needs numpy\n"
+
+
+def test_verify_lets_any_other_missing_module_through(monkeypatch):
+    hide_dense(monkeypatch)
+    monkeypatch.setitem(sys.modules, "graphce.dense", None)
+    with pytest.raises(ModuleNotFoundError) as caught:
+        invoke(["verify", "--seed", "7", "--trials", "1"])
+    assert caught.value.name == "graphce.dense"
 
 
 def test_edge_list_error_names_line(tmp_path, capsys):

@@ -137,13 +137,51 @@ def test_lemma_random_cases():
         assert check_lemma(g, rng.sample(range(g.n), size))
 
 
+def shorter_side_agrees(state, n, b_mask):
+    """dense_purity on B matches it on the complement and sum |rho_B|^2; returns it."""
+    b = _members(b_mask)
+    value = dense_purity(state, b)
+    assert abs(value - dense_purity(state, _members(((1 << n) - 1) ^ b_mask))) <= 1e-12
+    assert abs(value - float(np.sum(np.abs(reduced_density_matrix(state, b)) ** 2))) <= 1e-12
+    return value
+
+
 def test_oracle_purity_equivalence_sample():
     rng = random.Random(101)
     for _ in range(60):
         g = random_connected_graph(rng.randint(2, 10), rng)
-        b = _members(rng.getrandbits(g.n))
-        exact = float(purity(g, b))
-        assert abs(dense_purity(build_state(g), b) - exact) <= 1e-10
+        state = build_state(g)
+        for b_mask in (0, rng.getrandbits(g.n), (1 << g.n) - 1):
+            assert abs(shorter_side_agrees(state, g.n, b_mask) - float(purity(g, _members(b_mask)))) <= 1e-12
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 10).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(0, (1 << n) - 1), st.integers(0, 2**32 - 1))))
+def test_dense_purity_needs_no_stabilizer_structure(case):
+    # complex amplitudes with no graph-state pattern: a Gram matrix without the
+    # conjugate, or one read by its trace, disagrees here even where graph states
+    # (real amplitudes) would not show it
+    n, b_mask, seed = case
+    rng = np.random.default_rng(seed)
+    state = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    state /= np.linalg.norm(state)
+    for mask in (0, b_mask, (1 << n) - 1):
+        shorter_side_agrees(state, n, mask)
+
+
+def test_dense_purity_never_forms_rho_on_the_widest_cut():
+    import tracemalloc
+
+    state = build_state(family("ring", 10))
+    tracemalloc.start()
+    try:
+        value = dense_purity(state, range(10))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(value - 1.0) <= 1e-12
+    assert peak < 1 << 20  # rho_B alone would be 1024 x 1024 complex, 16 MB
 
 
 def test_subset_ce_matches_dense_power_set():
